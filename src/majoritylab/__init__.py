@@ -7,7 +7,7 @@ independent checker, an adversary-world laboratory for the matching lower
 bound, and a benchmark CLI.
 """
 
-from .answers import Answer, Certificate
+from .answers import Answer, Certificate, ContractViolation
 from .boyer_moore import boyer_moore
 from .certify import (
     CheckResult,
@@ -67,6 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Answer",
     "Certificate",
+    "ContractViolation",
     "boyer_moore",
     "CheckResult",
     "EqStructure",

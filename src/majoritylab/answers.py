@@ -1,10 +1,17 @@
-"""Shared result vocabulary: answers and no-majority certificates."""
+"""Shared result vocabulary: answers, no-majority certificates, and the
+error raised when a run breaks its own contract."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Answer", "Certificate"]
+__all__ = ["Answer", "Certificate", "ContractViolation"]
+
+
+class ContractViolation(RuntimeError):
+    """A run broke a bound or invariant it promises (comparison cap, depth,
+    baseline cost, certificate shape).  Raised explicitly rather than by
+    ``assert`` so the checks also hold under ``python -O``."""
 
 
 @dataclass(frozen=True)

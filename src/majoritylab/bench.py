@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -81,8 +82,11 @@ class ExperimentConfig:
             raise ValueError("sizes must be positive")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        # A fork-based pool starts every worker up front, so the bound is
+        # checked here, before any process exists.
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.jobs <= cpus:
+            raise ValueError(f"jobs must be between 1 and {cpus}, got {self.jobs}")
         if self.cutoff is not None and self.cutoff < 2:
             raise ValueError("cutoff must be at least 2")
         parse_distribution(self.distribution)  # raises on a bad spec
@@ -160,8 +164,9 @@ def run_grid(config: ExperimentConfig) -> list[TrialRow]:
     if config.jobs == 1 or len(tasks) == 1:
         rows = [run_trial(config, n, t) for _, n, t in tasks]
     else:
-        chunk = max(1, len(tasks) // (config.jobs * 4))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        workers = min(config.jobs, len(tasks))
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, tasks, chunksize=chunk))
     rows.sort(key=lambda r: (r.n, r.trial))
     return rows

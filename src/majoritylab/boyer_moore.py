@@ -3,7 +3,7 @@
 Pass one maintains a candidate and a counter; adopting a fresh candidate at
 counter zero costs nothing, every other element costs one comparison.  Pass
 two recounts the surviving candidate against all other balls.  Total cost is
-at most 2n - 2 comparisons, asserted on every run.
+at most 2n - 2 comparisons, checked on every run.
 
 Pass one also yields no-majority evidence for free: every counter decrement
 matches one ball of the current candidate's class against the ball that
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .answers import Answer, Certificate
+from .answers import Answer, Certificate, ContractViolation
 from .core import CountingOracle
 
 __all__ = ["boyer_moore"]
@@ -63,7 +63,8 @@ def boyer_moore(
             count += 1
 
     used = oracle.comparisons - start
-    assert used <= max(0, 2 * m - 2), f"comparison bound breached: {used} > {2 * m - 2}"
+    if used > max(0, 2 * m - 2):
+        raise ContractViolation(f"comparison bound breached: {used} > {2 * m - 2}")
 
     if count > m // 2:
         return Answer.majority(candidate, count), None

@@ -81,9 +81,6 @@ class EqStructure:
     def same_class(self, x: int, y: int) -> bool:
         return self.root(x) == self.root(y)
 
-    def in_conflict(self, x: int, y: int) -> bool:
-        return frozenset((self.root(x), self.root(y))) in self._conflicts
-
     def provably_unequal(self, x: int, y: int) -> bool:
         rx, ry = self.root(x), self.root(y)
         return rx != ry and frozenset((rx, ry)) in self._conflicts

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .answers import ContractViolation
 from .bench import (
     ExperimentConfig,
     contract_violations,
@@ -276,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ContractViolation as exc:
+        print(f"contract violated: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .answers import Answer, Certificate
+from .answers import Answer, Certificate, ContractViolation
 from .boyer_moore import boyer_moore
 from .certify import lift_certificate
 from .core import CountingOracle
@@ -265,7 +265,7 @@ def _resolve_leftover(
     majority answer after all.
     """
     if cert.triangle is not None:
-        raise ValueError("leftover resolution expects a triangle-free certificate")
+        raise ContractViolation("leftover resolution expects a triangle-free certificate")
     oracle = run.oracle
     start = oracle.comparisons
     half = m // 2
@@ -353,9 +353,10 @@ def _resolve_leftover(
     sigma = sum(1 for b in excluded if b not in covered)
     if len(cert.pairs) + sigma <= m // 2:
         anchor = leftover
-    else:
-        assert cert.candidate is not None
+    elif cert.candidate is not None:
         anchor = cert.candidate
+    else:
+        raise ContractViolation("no anchor has slack for the leftover certificate")
     return Answer.no_majority(), Certificate(pairs=cert.pairs, candidate=anchor)
 
 
@@ -372,7 +373,7 @@ def _finish_no_majority(
     """Lift a survivor-level certificate back to the full level."""
     lifted = lift_certificate(sub_cert, partner)
     if lifted.triangle is not None:
-        raise ValueError("survivor certificates must lift without triangles")
+        raise ContractViolation("survivor certificates must lift without triangles")
     cert = Certificate(pairs=tuple(unequal) + lifted.pairs, candidate=lifted.candidate)
     if leftover is None:
         return Answer.no_majority(), cert
@@ -400,7 +401,8 @@ def _balanced(
         sub_answer, sub_cert = Answer.no_majority(), Certificate()
 
     if not sub_answer.is_majority:
-        assert sub_cert is not None
+        if sub_cert is None:
+            raise ContractViolation("no-majority answer without a certificate")
         return _finish_no_majority(run, lv, balls, sub_cert, partner, unequal, leftover, m)
 
     v = sub_answer.witness
@@ -444,7 +446,8 @@ def _light(
         sub_answer, sub_cert = Answer.no_majority(), Certificate()
 
     if not sub_answer.is_majority:
-        assert sub_cert is not None
+        if sub_cert is None:
+            raise ContractViolation("no-majority answer without a certificate")
         return _finish_no_majority(run, lv, balls, sub_cert, partner, unequal, leftover, m)
 
     # The survivor majority can only reach m//2 overall if nearly every
@@ -452,7 +455,8 @@ def _light(
     # stop as soon as it hits zero: no-majority is then already forced.
     v = sub_answer.witness
     cnt = 2 * sub_answer.multiplicity - len(survivors)
-    assert cnt >= 1
+    if cnt < 1:
+        raise ContractViolation("survivor majority does not lead its survivors")
     if leftover is not None:
         start = oracle.comparisons
         if oracle.cmp(v, leftover):
@@ -509,7 +513,8 @@ def _heavy(
     klass = [candidate] + mates
     if need == 0:
         pairs = tuple(zip(others, klass))
-        assert len(pairs) == m // 2
+        if len(pairs) != m // 2:
+            raise ContractViolation("census cross pairs do not cover the level")
         return Answer.no_majority(), Certificate(pairs=pairs)
 
     order = run.permuted(others)
@@ -538,7 +543,8 @@ def _heavy(
     if m % 2:
         a, b = found.pop()
         triangle = (a, b, klass.pop())
-    assert len(rest) == len(klass)
+    if len(rest) != len(klass):
+        raise ContractViolation("census leftovers and class balls do not pair up")
     pairs = tuple(found) + tuple(zip(rest, klass))
     return Answer.no_majority(), Certificate(pairs=pairs, triangle=triangle)
 
@@ -577,37 +583,48 @@ def _solve(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
     return _light(run, balls, est.comparisons)
 
 
-def _finish(
-    run: _Run, start: int, m: int, result: tuple[Answer, Certificate | None]
-) -> tuple[Answer, Certificate | None, RunStats]:
-    used = run.oracle.comparisons - start
-    cap = run.params.cap_factor * max(1, m)
-    assert used <= cap, f"comparison cap breached: {used} > {cap}"
-    if m >= 1:
-        assert len(run.levels) <= math.log2(max(2, m)) + 1, "recursion too deep"
+Result = tuple[Answer, Certificate | None, RunStats]
+
+
+def _drive(
+    oracle: CountingOracle,
+    balls: Sequence[int] | None,
+    params: Params | None,
+    rng: RandomStream | None,
+    top: Callable[[_Run, list[int]], tuple[Answer, Certificate | None]],
+) -> Result:
+    """Run ``top`` on the balls and enforce the contract on the result.
+
+    The comparison cap (params.cap_factor per ball) and the depth bound are
+    checked with ContractViolation, so they hold under ``python -O`` too.
+    """
+    if balls is None:
+        balls = range(1, oracle.instance.n + 1)
+    balls = list(balls)
+    if not balls:
+        return Answer.no_majority(), Certificate(), RunStats(0, 0, (), ())
+    run = _Run(
+        oracle,
+        Params() if params is None else params,
+        RandomStream(0, "majority") if rng is None else rng,
+    )
+    start = oracle.comparisons
+    answer, cert = top(run, balls)
+
+    m = len(balls)
+    used = oracle.comparisons - start
+    cap = run.params.cap_factor * m
+    if used > cap:
+        raise ContractViolation(f"comparison cap breached: {used} > {cap}")
+    if len(run.levels) > math.log2(max(2, m)) + 1:
+        raise ContractViolation(f"recursion too deep: {len(run.levels)} levels")
     stats = RunStats(
         comparisons=used,
         depth=len(run.levels),
         branch_trace=tuple(run.trace),
         levels=tuple(run.levels),
     )
-    answer, cert = result
     return answer, cert, stats
-
-
-def _prepare(
-    oracle: CountingOracle,
-    balls: Sequence[int] | None,
-    params: Params | None,
-    rng: RandomStream | None,
-) -> tuple[_Run, list[int]]:
-    if balls is None:
-        balls = range(1, oracle.instance.n + 1)
-    if params is None:
-        params = Params()
-    if rng is None:
-        rng = RandomStream(0, "majority")
-    return _Run(oracle, params, rng), list(balls)
 
 
 def majority(
@@ -615,18 +632,14 @@ def majority(
     balls: Sequence[int] | None = None,
     params: Params | None = None,
     rng: RandomStream | None = None,
-) -> tuple[Answer, Certificate | None, RunStats]:
+) -> Result:
     """Exact majority of the given balls; Las Vegas comparison count.
 
     Returns (answer, certificate, stats).  The certificate accompanies
     no-majority answers; majority answers are checkable from the transcript
     alone.  Total comparisons are capped at params.cap_factor * len(balls).
     """
-    run, balls = _prepare(oracle, balls, params, rng)
-    if not balls:
-        return Answer.no_majority(), Certificate(), RunStats(0, 0, (), ())
-    start = run.oracle.comparisons
-    return _finish(run, start, len(balls), _solve(run, balls))
+    return _drive(oracle, balls, params, rng, _solve)
 
 
 def balanced(
@@ -634,13 +647,9 @@ def balanced(
     balls: Sequence[int] | None = None,
     params: Params | None = None,
     rng: RandomStream | None = None,
-) -> tuple[Answer, Certificate | None, RunStats]:
+) -> Result:
     """Run the pairing strategy unconditionally at the top level."""
-    run, balls = _prepare(oracle, balls, params, rng)
-    if not balls:
-        return Answer.no_majority(), Certificate(), RunStats(0, 0, (), ())
-    start = run.oracle.comparisons
-    return _finish(run, start, len(balls), _balanced(run, balls, 0))
+    return _drive(oracle, balls, params, rng, lambda run, b: _balanced(run, b, 0))
 
 
 def light(
@@ -648,13 +657,9 @@ def light(
     balls: Sequence[int] | None = None,
     params: Params | None = None,
     rng: RandomStream | None = None,
-) -> tuple[Answer, Certificate | None, RunStats]:
+) -> Result:
     """Run the early-exit pairing strategy unconditionally at the top level."""
-    run, balls = _prepare(oracle, balls, params, rng)
-    if not balls:
-        return Answer.no_majority(), Certificate(), RunStats(0, 0, (), ())
-    start = run.oracle.comparisons
-    return _finish(run, start, len(balls), _light(run, balls, 0))
+    return _drive(oracle, balls, params, rng, lambda run, b: _light(run, b, 0))
 
 
 def heavy(
@@ -663,10 +668,8 @@ def heavy(
     balls: Sequence[int] | None = None,
     params: Params | None = None,
     rng: RandomStream | None = None,
-) -> tuple[Answer, Certificate | None, RunStats]:
+) -> Result:
     """Census the given candidate unconditionally at the top level."""
-    run, balls = _prepare(oracle, balls, params, rng)
-    if not balls:
-        return Answer.no_majority(), Certificate(), RunStats(0, 0, (), ())
-    start = run.oracle.comparisons
-    return _finish(run, start, len(balls), _heavy(run, balls, candidate, 0))
+    return _drive(
+        oracle, balls, params, rng, lambda run, b: _heavy(run, b, candidate, 0)
+    )

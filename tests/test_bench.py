@@ -1,6 +1,7 @@
 """The experiment runner: determinism, CSV shape, summaries, gates."""
 
 import json
+import os
 
 import pytest
 
@@ -44,6 +45,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(jobs=0)
     with pytest.raises(ValueError):
+        small_config(jobs=(os.cpu_count() or 1) + 1)
+    with pytest.raises(ValueError):
         small_config(cutoff=1)
     with pytest.raises(ValueError):
         small_config(distribution="bogus:spec")
@@ -80,7 +83,7 @@ def test_rows_are_checked_and_correct():
 
 def test_run_grid_jobs_do_not_change_rows():
     serial = run_grid(small_config(jobs=1))
-    parallel = run_grid(small_config(jobs=3))
+    parallel = run_grid(small_config(jobs=min(3, os.cpu_count() or 1)))
     assert [strip_timing(r) for r in serial] == [strip_timing(r) for r in parallel]
 
 

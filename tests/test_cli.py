@@ -1,8 +1,11 @@
 """The CLI: output contracts, exit codes, file handling."""
 
+import os
+
 import pytest
 
-from majoritylab import Instance, write_instance
+from majoritylab import ContractViolation, Instance, write_instance
+from majoritylab import bench, cli
 from majoritylab.cli import main
 
 
@@ -161,3 +164,22 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_bench_rejects_more_jobs_than_cpus(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+    jobs = str((os.cpu_count() or 1) + 1)
+    code, _, err = run_cli(capsys, "bench", "--sizes", "64", "--jobs", jobs)
+    assert code == 2 and "jobs" in err
+
+
+def test_contract_violation_exits_1(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ContractViolation("comparison cap breached")
+
+    monkeypatch.setattr(cli, "majority", broken)
+    code, _, err = run_cli(capsys, "run", "--n", "100")
+    assert code == 1 and "contract violated" in err

@@ -1,5 +1,10 @@
 """The randomized driver: dispatch, branches, certificates, accounting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from majoritylab import (
@@ -7,6 +12,7 @@ from majoritylab import (
     BETA_LOW,
     Answer,
     Certificate,
+    ContractViolation,
     CountingOracle,
     Instance,
     Params,
@@ -141,6 +147,45 @@ def test_balanced_pairing_is_exactly_half():
     root = stats.levels[0]
     assert root.branch == "balanced"
     assert root.pairing_comparisons == 4096 // 2
+
+
+CAP_BREACH = """
+import sys
+from majoritylab import ContractViolation, CountingOracle, Params, RandomStream
+from majoritylab import generate, majority
+print("optimize:", sys.flags.optimize)
+inst = generate("profile:0.48,rest=100", 1 << 13, RandomStream(30))
+try:
+    majority(CountingOracle(inst), params=Params(cap_factor=1), rng=RandomStream(31))
+except ContractViolation as exc:
+    print("raised:", exc)
+"""
+
+
+def test_cap_breach_raises_contract_violation():
+    # A near-tie run costs more than n comparisons, so a cap of 1n breaks.
+    inst = generate("profile:0.48,rest=100", 1 << 13, RandomStream(30))
+    with pytest.raises(ContractViolation, match="comparison cap"):
+        majority(
+            CountingOracle(inst), params=Params(cap_factor=1), rng=RandomStream(31)
+        )
+
+
+def test_cap_breach_raises_under_optimize_flag():
+    # Under -O every assert is stripped; the cap must still be enforced.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CAP_BREACH],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize: 1"
+    assert lines[1].startswith("raised: comparison cap breached")
 
 
 # -- forced branches ------------------------------------------------------
