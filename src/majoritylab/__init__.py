@@ -53,11 +53,9 @@ from .randomized import (
     Params,
     RunStats,
     SampleEstimate,
-    balanced,
     classify_branch,
     estimate_frequencies,
     heavy,
-    light,
     majority,
 )
 from .rng import RandomStream, derive_seed
@@ -106,11 +104,9 @@ __all__ = [
     "Params",
     "RunStats",
     "SampleEstimate",
-    "balanced",
     "classify_branch",
     "estimate_frequencies",
     "heavy",
-    "light",
     "majority",
     "RandomStream",
     "derive_seed",

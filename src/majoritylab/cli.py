@@ -7,7 +7,8 @@ Subcommands:
   analyze  numeric companions: the cost constant and the merge-game simulator
 
 Exit codes: 0 on success, 1 when a contract is violated (wrong answer,
-rejected certificate, failed audit), 2 on usage errors.
+rejected certificate, failed audit, or a ContractViolation raised by a
+run), 2 on usage errors.
 """
 
 from __future__ import annotations

@@ -1,14 +1,20 @@
 """Randomized exact majority finding with certified answers.
 
-The driver draws a small sample, estimates the top two class frequencies,
-and dispatches to one of three strategies:
+Each level above the cutoff runs one of two strategies:
 
-* ``balanced``  - pair balls at random, keep one survivor of each equal
-  pair, recurse on the survivors, then settle the verdict with a scan.
-* ``heavy``     - census one promising candidate directly, and when it
+* ``balanced`` - pair balls at random, keep one survivor of each equal
+  pair, recurse on the survivors, then settle the level: a no-majority
+  verdict below is lifted through the pairs, and a survivor majority is
+  checked against the unequal pairs with a deficit count that stops as soon
+  as the candidate can no longer reach a majority.
+* ``heavy``    - census one promising candidate directly, and when it
   falls short, finish the no-majority certificate by pairing off the rest.
-* ``light``     - like balanced, but the survivor count is small enough
-  that the scan can stop early once the candidate is mathematically dead.
+
+The choice comes from a small sample of the level: heavy needs the top
+sampled class to leave the balanced window ``|q - 0.5| <= 4 * eps(m)``.
+Every estimate lies within 0.5 of one half, so the sample is drawn only
+when ``4 * eps(m) < 0.5``; with the default ``eps(m) = m**-0.1`` that means
+m above 2^30, and below it every level is balanced and samples nothing.
 
 Every path is Las Vegas: answers are always exact, randomness moves only
 the comparison count.  No-majority answers carry a certificate that an
@@ -37,9 +43,7 @@ __all__ = [
     "estimate_frequencies",
     "classify_branch",
     "majority",
-    "balanced",
     "heavy",
-    "light",
     "BETA_LOW",
     "BETA_HIGH",
 ]
@@ -154,6 +158,9 @@ class RunStats:
     levels: tuple[LevelStats, ...]
 
 
+Result = tuple[Answer, Certificate | None, RunStats]
+
+
 def estimate_frequencies(oracle: CountingOracle, sample: Sequence[int]) -> SampleEstimate:
     """Classify the sample against first-seen representatives.
 
@@ -183,15 +190,18 @@ def estimate_frequencies(oracle: CountingOracle, sample: Sequence[int]) -> Sampl
 
 
 def classify_branch(estimate: SampleEstimate, m: int, params: Params) -> str:
-    """Pick the strategy for a sub-instance of size m from a sample estimate."""
+    """Pick "heavy" or "balanced" for a sub-instance of size m.
+
+    Heavy needs the top two sampled frequencies outside the balanced window
+    and a top class of at least beta that outweighs the squared tail.
+    """
     eps = params.epsilon(m)
     q1, q2 = estimate.q1, estimate.q2
-    if abs(q1 - 0.5) <= 4 * eps and abs(q2 - 0.5) <= 4 * eps:
-        return "balanced"
+    in_window = abs(q1 - 0.5) <= 4 * eps and abs(q2 - 0.5) <= 4 * eps
     tail = sum(q * q for q in estimate.frequencies[1:])
-    if q1 >= params.beta and q1 * q1 >= tail + 2 * eps:
+    if not in_window and q1 >= params.beta and q1 * q1 >= tail + 2 * eps:
         return "heavy"
-    return "light"
+    return "balanced"
 
 
 class _Run:
@@ -383,6 +393,15 @@ def _finish_no_majority(
 def _balanced(
     run: _Run, balls: list[int], sample_cost: int
 ) -> tuple[Answer, Certificate | None]:
+    """One pairing level: pair, recurse on the survivors, settle the verdict.
+
+    A no-majority verdict below is lifted through the pairs.  A survivor
+    majority v is checked against the leftover, then against the unequal
+    pairs with a deficit count: ``cnt`` is v's class size minus m//2 if
+    every unprobed pair held one more of it, so a pair that misses v twice
+    lowers it by one, and the scan stops as soon as it hits zero, where
+    no-majority is already forced.
+    """
     m = len(balls)
     lv = LevelStats("balanced", m, sample_comparisons=sample_cost)
     run.levels.append(lv)
@@ -406,54 +425,6 @@ def _balanced(
         return _finish_no_majority(run, lv, balls, sub_cert, partner, unequal, leftover, m)
 
     v = sub_answer.witness
-    cnt = 2 * sub_answer.multiplicity
-    start = oracle.comparisons
-    for a, b in unequal:
-        if oracle.cmp(v, a):
-            cnt += 1
-        elif oracle.cmp(v, b):
-            cnt += 1
-    lv.scan_comparisons = oracle.comparisons - start
-    if leftover is not None:
-        start = oracle.comparisons
-        if oracle.cmp(v, leftover):
-            cnt += 1
-        lv.leftover_comparisons = oracle.comparisons - start
-
-    if cnt > m // 2:
-        return Answer.majority(v, cnt), None
-    return Answer.no_majority(), Certificate(pairs=tuple(unequal), candidate=v)
-
-
-def _light(
-    run: _Run, balls: list[int], sample_cost: int
-) -> tuple[Answer, Certificate | None]:
-    m = len(balls)
-    lv = LevelStats("light", m, sample_comparisons=sample_cost)
-    run.levels.append(lv)
-    run.trace.append("light")
-    oracle = run.oracle
-
-    start = oracle.comparisons
-    survivors, partner, unequal, leftover = _pair_up(run, balls)
-    lv.pairing_comparisons = oracle.comparisons - start
-    lv.x_size = len(survivors)
-    lv.y_pairs = len(unequal)
-
-    if survivors:
-        sub_answer, sub_cert = _solve(run, survivors)
-    else:
-        sub_answer, sub_cert = Answer.no_majority(), Certificate()
-
-    if not sub_answer.is_majority:
-        if sub_cert is None:
-            raise ContractViolation("no-majority answer without a certificate")
-        return _finish_no_majority(run, lv, balls, sub_cert, partner, unequal, leftover, m)
-
-    # The survivor majority can only reach m//2 overall if nearly every
-    # unequal pair hides one more of its class, so track the deficit and
-    # stop as soon as it hits zero: no-majority is then already forced.
-    v = sub_answer.witness
     cnt = 2 * sub_answer.multiplicity - len(survivors)
     if cnt < 1:
         raise ContractViolation("survivor majority does not lead its survivors")
@@ -465,14 +436,11 @@ def _light(
 
     start = oracle.comparisons
     for a, b in unequal:
-        if not oracle.cmp(v, a):
-            if not oracle.cmp(v, b):
-                cnt -= 1
-                if cnt == 0:
-                    lv.scan_comparisons = oracle.comparisons - start
-                    return Answer.no_majority(), Certificate(
-                        pairs=tuple(unequal), candidate=v
-                    )
+        if not oracle.cmp(v, a) and not oracle.cmp(v, b):
+            cnt -= 1
+            if cnt == 0:
+                lv.scan_comparisons = oracle.comparisons - start
+                return Answer.no_majority(), Certificate(pairs=tuple(unequal), candidate=v)
     lv.scan_comparisons = oracle.comparisons - start
     return Answer.majority(v, m // 2 + cnt), None
 
@@ -574,16 +542,14 @@ def _solve(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
         return Answer.majority(balls[0], 1), None
     if m <= run.params.cutoff:
         return _base(run, balls)
+    # |q - 0.5| <= 0.5 for every estimate, so while 4*eps >= 0.5 the
+    # balanced window holds whatever the sample says: skip drawing it.
+    if 4 * run.params.epsilon(m) >= 0.5:
+        return _balanced(run, balls, 0)
     est = _sample(run, balls)
-    branch = classify_branch(est, m, run.params)
-    if branch == "balanced":
-        return _balanced(run, balls, est.comparisons)
-    if branch == "heavy":
+    if classify_branch(est, m, run.params) == "heavy":
         return _heavy(run, balls, est.representatives[0], est.comparisons)
-    return _light(run, balls, est.comparisons)
-
-
-Result = tuple[Answer, Certificate | None, RunStats]
+    return _balanced(run, balls, est.comparisons)
 
 
 def _drive(
@@ -640,26 +606,6 @@ def majority(
     alone.  Total comparisons are capped at params.cap_factor * len(balls).
     """
     return _drive(oracle, balls, params, rng, _solve)
-
-
-def balanced(
-    oracle: CountingOracle,
-    balls: Sequence[int] | None = None,
-    params: Params | None = None,
-    rng: RandomStream | None = None,
-) -> Result:
-    """Run the pairing strategy unconditionally at the top level."""
-    return _drive(oracle, balls, params, rng, lambda run, b: _balanced(run, b, 0))
-
-
-def light(
-    oracle: CountingOracle,
-    balls: Sequence[int] | None = None,
-    params: Params | None = None,
-    rng: RandomStream | None = None,
-) -> Result:
-    """Run the early-exit pairing strategy unconditionally at the top level."""
-    return _drive(oracle, balls, params, rng, lambda run, b: _light(run, b, 0))
 
 
 def heavy(

@@ -29,7 +29,6 @@ from majoritylab import (
     brute_force_majority,
     generate,
     heavy,
-    light,
     lower_bound_constant,
     majority,
     merge_step,
@@ -271,7 +270,7 @@ def test_criterion_6_branch_cost_formulas():
             predicted = predict_light(class_counts(inst), Params())
             for rep in range(10):
                 oracle = CountingOracle(inst)
-                answer, _, _ = light(
+                answer, _, _ = majority(
                     oracle, rng=RandomStream(508, "accept/light-run", inst_idx * 10 + rep)
                 )
                 assert not answer.is_majority

@@ -15,36 +15,36 @@ from majoritylab.bench import ExperimentConfig, rows_to_csv, run_grid
 
 # (spec, n, seed, comparisons, kind, multiplicity, branch trace)
 GOLDEN = (
-    ("binary:p=0.5", 2048, 0, 2493, "majority", 1025, "balanced>balanced>balanced>base"),
-    ("binary:p=0.5", 2048, 1, 2451, "majority", 1029, "balanced>balanced>balanced>base"),
-    ("binary:p=0.5", 2048, 2, 2462, "majority", 1036, "balanced>balanced>balanced>base"),
-    ("binary:p=0.5", 8192, 0, 9679, "majority", 4151, "balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.5", 2048, 0, 2459, "majority", 1025, "balanced>balanced>balanced>base"),
+    ("binary:p=0.5", 2048, 1, 2396, "majority", 1029, "balanced>balanced>balanced>base"),
+    ("binary:p=0.5", 2048, 2, 2392, "majority", 1036, "balanced>balanced>balanced>base"),
+    ("binary:p=0.5", 8192, 0, 9548, "majority", 4151, "balanced>balanced>balanced>balanced>base"),
     ("binary:p=0.5", 8192, 1, 9632, "majority", 4164, "balanced>balanced>balanced>balanced>base"),
-    ("binary:p=0.5", 8192, 2, 9642, "majority", 4145, "balanced>balanced>balanced>balanced>base"),
-    ("binary:p=0.9", 2048, 0, 2220, "majority", 1862, "balanced>balanced>balanced>balanced>balanced>base"),
-    ("binary:p=0.9", 2048, 1, 2242, "majority", 1815, "balanced>balanced>balanced>balanced>balanced>base"),
-    ("binary:p=0.9", 2048, 2, 2218, "majority", 1847, "balanced>balanced>balanced>balanced>balanced>base"),
-    ("binary:p=0.9", 8192, 0, 8724, "majority", 7393, "balanced>balanced>balanced>balanced>balanced>balanced>balanced>base"),
-    ("binary:p=0.9", 8192, 1, 8721, "majority", 7358, "balanced>balanced>balanced>balanced>balanced>balanced>balanced>base"),
-    ("binary:p=0.9", 8192, 2, 8728, "majority", 7353, "balanced>balanced>balanced>balanced>balanced>balanced>balanced>base"),
-    ("uniform:k=n", 2048, 0, 3148, "no_majority", None, "balanced>base"),
-    ("uniform:k=n", 2048, 1, 1102, "no_majority", None, "balanced"),
-    ("uniform:k=n", 2048, 2, 1102, "no_majority", None, "balanced"),
-    ("uniform:k=n", 8192, 0, 4306, "no_majority", None, "balanced"),
-    ("uniform:k=n", 8192, 1, 4306, "no_majority", None, "balanced"),
-    ("uniform:k=n", 8192, 2, 12495, "no_majority", None, "balanced>base"),
-    ("profile:0.48,rest=100", 2048, 0, 2694, "no_majority", None, "balanced>balanced>balanced>base"),
-    ("profile:0.48,rest=100", 2048, 1, 2706, "no_majority", None, "balanced>balanced>balanced>base"),
-    ("profile:0.48,rest=100", 2048, 2, 2678, "no_majority", None, "balanced>balanced>balanced>base"),
-    ("profile:0.48,rest=100", 8192, 0, 10434, "no_majority", None, "balanced>balanced>balanced>balanced>balanced>base"),
-    ("profile:0.48,rest=100", 8192, 1, 10477, "no_majority", None, "balanced>balanced>balanced>balanced>balanced>base"),
-    ("profile:0.48,rest=100", 8192, 2, 10494, "no_majority", None, "balanced>balanced>balanced>balanced>balanced>base"),
-    ("profile:0.5,0.5", 2048, 0, 1431, "no_majority", None, "balanced>balanced>balanced>base"),
-    ("profile:0.5,0.5", 2048, 1, 1405, "no_majority", None, "balanced>balanced>balanced>base"),
-    ("profile:0.5,0.5", 2048, 2, 1441, "no_majority", None, "balanced>balanced>balanced>base"),
-    ("profile:0.5,0.5", 8192, 0, 5503, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
-    ("profile:0.5,0.5", 8192, 1, 5559, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
-    ("profile:0.5,0.5", 8192, 2, 5529, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.5", 8192, 2, 9643, "majority", 4145, "balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.9", 2048, 0, 2183, "majority", 1862, "balanced>balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.9", 2048, 1, 2196, "majority", 1815, "balanced>balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.9", 2048, 2, 2190, "majority", 1847, "balanced>balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.9", 8192, 0, 8603, "majority", 7393, "balanced>balanced>balanced>balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.9", 8192, 1, 8681, "majority", 7358, "balanced>balanced>balanced>balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.9", 8192, 2, 8624, "majority", 7353, "balanced>balanced>balanced>balanced>balanced>balanced>balanced>base"),
+    ("uniform:k=n", 2048, 0, 1026, "no_majority", None, "balanced>base"),
+    ("uniform:k=n", 2048, 1, 1024, "no_majority", None, "balanced"),
+    ("uniform:k=n", 2048, 2, 1026, "no_majority", None, "balanced>base"),
+    ("uniform:k=n", 8192, 0, 4096, "no_majority", None, "balanced"),
+    ("uniform:k=n", 8192, 1, 4096, "no_majority", None, "balanced"),
+    ("uniform:k=n", 8192, 2, 4098, "no_majority", None, "balanced>base"),
+    ("profile:0.48,rest=100", 2048, 0, 2414, "no_majority", None, "balanced>balanced>balanced>base"),
+    ("profile:0.48,rest=100", 2048, 1, 2466, "no_majority", None, "balanced>balanced>balanced>base"),
+    ("profile:0.48,rest=100", 2048, 2, 2422, "no_majority", None, "balanced>balanced>balanced>base"),
+    ("profile:0.48,rest=100", 8192, 0, 9604, "no_majority", None, "balanced>balanced>balanced>balanced>balanced>base"),
+    ("profile:0.48,rest=100", 8192, 1, 9604, "no_majority", None, "balanced>balanced>balanced>balanced>balanced>base"),
+    ("profile:0.48,rest=100", 8192, 2, 9548, "no_majority", None, "balanced>balanced>balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 2048, 0, 1373, "no_majority", None, "balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 2048, 1, 1381, "no_majority", None, "balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 2048, 2, 1415, "no_majority", None, "balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 8192, 0, 5461, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 8192, 1, 5469, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 8192, 2, 5525, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
 )
 
 CSV_GRID = ExperimentConfig(
@@ -55,7 +55,7 @@ CSV_GRID = ExperimentConfig(
     master_seed=0,
     cutoff=64,
 )
-CSV_SHA256 = 'd0d77de550e1474ecf85811d313ed15b84ff08b64f34dfafc3d6094f7dcfe068'
+CSV_SHA256 = 'b532562bf61809af194b8ca389f474c2956d1273090d7df4753da6d5ec9c016e'
 
 
 @pytest.mark.parametrize(

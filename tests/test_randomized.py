@@ -19,12 +19,10 @@ from majoritylab import (
     RandomStream,
     RunStats,
     SampleEstimate,
-    balanced,
     classify_branch,
     estimate_frequencies,
     generate,
     heavy,
-    light,
     majority,
     verify_run,
 )
@@ -76,21 +74,23 @@ def make_estimate(freqs):
 
 
 def test_classify_branch_three_ways():
-    # A tight slack makes all three branches reachable in one test.
+    # A tight slack makes heavy reachable; every other estimate pairs.
     params = Params(epsilon=lambda m: 0.01)
     m = 10**6
     assert classify_branch(make_estimate([0.5, 0.47, 0.03]), m, params) == "balanced"
     assert classify_branch(make_estimate([0.9, 0.05, 0.05]), m, params) == "heavy"
     # top class big but q1^2 below the squared tail plus slack: not heavy
-    assert classify_branch(make_estimate([0.46, 0.45, 0.09]), m, params) == "light"
+    assert classify_branch(make_estimate([0.46, 0.45, 0.09]), m, params) == "balanced"
     # q1 below beta can never be heavy
-    assert classify_branch(make_estimate([0.44, 0.03, 0.03]), m, params) == "light"
+    assert classify_branch(make_estimate([0.44, 0.03, 0.03]), m, params) == "balanced"
 
 
 def test_classify_branch_default_window_is_wide():
-    # With the default slack at desk scale, 4*eps(2^20) = 1, so the balanced
-    # guard is satisfied by any estimate; the other branches are reached via
-    # their public entry points rather than by dispatch.
+    # With the default slack eps = m**-0.1, 4*eps >= 0.5 for every m below
+    # 8**10 = 2^30, so the balanced guard holds for any estimate (|q - 0.5|
+    # never exceeds 0.5) and the driver skips the sample; heavy is reached
+    # by dispatch only under a tighter schedule, or through heavy() itself.
+    assert classify_branch(make_estimate([1.0]), 2**30 - 1, Params()) == "balanced"
     assert classify_branch(make_estimate([0.9, 0.05, 0.05]), 2**20, Params()) == "balanced"
 
 
@@ -141,7 +141,7 @@ def test_comparison_cap_and_depth():
 
 def test_balanced_pairing_is_exactly_half():
     inst = generate("binary:p=0.5", 4096, RandomStream(4))
-    _, _, stats = balanced(
+    _, _, stats = majority(
         CountingOracle(inst), params=Params(cutoff=64), rng=RandomStream(5)
     )
     root = stats.levels[0]
@@ -194,19 +194,11 @@ def test_cap_breach_raises_under_optimize_flag():
 def test_forced_branches_exhaustive_small():
     for n in range(2, 7):
         for inst in all_colorings(n, 2):
-            oracle = CountingOracle(inst, record_transcript=True)
-            answer, cert, _ = balanced(
-                oracle, params=Params(cutoff=2), rng=RandomStream(20, "b", n)
-            )
-            assert verify_run(n, oracle.transcript, answer, cert).accepted
-            assert_run_ok(inst, answer, cert, True)
-
-            oracle = CountingOracle(inst, record_transcript=True)
-            answer, cert, _ = light(
-                oracle, params=Params(cutoff=2), rng=RandomStream(21, "l", n)
-            )
-            assert verify_run(n, oracle.transcript, answer, cert).accepted
-            assert_run_ok(inst, answer, cert, True)
+            for rng in (RandomStream(20, "b", n), RandomStream(21, "l", n)):
+                oracle = CountingOracle(inst, record_transcript=True)
+                answer, cert, _ = majority(oracle, params=Params(cutoff=2), rng=rng)
+                assert verify_run(n, oracle.transcript, answer, cert).accepted
+                assert_run_ok(inst, answer, cert, True)
 
             for candidate in range(1, n + 1):
                 oracle = CountingOracle(inst, record_transcript=True)
@@ -250,11 +242,49 @@ def test_heavy_minority_candidate_still_exact():
 def test_light_on_fragmented_input():
     inst = generate("profile:0.25,0.25,0.25,0.25", 2048, RandomStream(11))
     oracle = CountingOracle(inst, record_transcript=True)
-    answer, cert, stats = light(
+    answer, cert, stats = majority(
         oracle, params=Params(cutoff=64), rng=RandomStream(12)
     )
     assert not answer.is_majority
     assert verify_run(2048, oracle.transcript, answer, cert).accepted
+
+
+def test_default_params_never_sample():
+    inst = generate("uniform:k=n", 1 << 13, RandomStream(32))
+    _, _, stats = majority(
+        CountingOracle(inst), params=Params(cutoff=64), rng=RandomStream(33)
+    )
+    assert all(lv.sample_comparisons == 0 for lv in stats.levels)
+
+
+def test_tight_epsilon_dispatches_heavy():
+    n = 1 << 13
+    inst = generate("binary:p=0.9", n, RandomStream(34))
+    oracle = CountingOracle(inst, record_transcript=True)
+    answer, cert, stats = majority(
+        oracle,
+        params=Params(cutoff=64, epsilon=lambda m: 0.01),
+        rng=RandomStream(35),
+    )
+    assert stats.branch_trace[0] == "heavy"
+    assert stats.levels[0].sample_comparisons > 0
+    assert verify_run(n, oracle.transcript, answer, cert).accepted
+    assert_run_ok(inst, answer, cert, True)
+
+
+def test_single_survivor_root_stops_scan_early():
+    # A lone survivor is a majority of one, but one unequal pair that
+    # misses it twice already proves no-majority for the level.
+    n = 1 << 13
+    lone = 0
+    for seed in range(20):
+        inst = generate("uniform:k=n", n, RandomStream(36, "lone", seed))
+        oracle = CountingOracle(inst)
+        _, _, stats = majority(oracle, params=Params(cutoff=64), rng=RandomStream(37, seed))
+        if stats.levels[0].x_size == 1:
+            lone += 1
+            assert stats.comparisons <= n // 2 + 2
+    assert lone >= 1
 
 
 def test_run_is_deterministic_given_stream():
