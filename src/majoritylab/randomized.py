@@ -158,9 +158,6 @@ class RunStats:
     levels: tuple[LevelStats, ...]
 
 
-Result = tuple[Answer, Certificate | None, RunStats]
-
-
 def estimate_frequencies(oracle: CountingOracle, sample: Sequence[int]) -> SampleEstimate:
     """Classify the sample against first-seen representatives.
 
@@ -558,7 +555,7 @@ def _drive(
     params: Params | None,
     rng: RandomStream | None,
     top: Callable[[_Run, list[int]], tuple[Answer, Certificate | None]],
-) -> Result:
+) -> tuple[Answer, Certificate | None, RunStats]:
     """Run ``top`` on the balls and enforce the contract on the result.
 
     The comparison cap (params.cap_factor per ball) and the depth bound are
@@ -598,7 +595,7 @@ def majority(
     balls: Sequence[int] | None = None,
     params: Params | None = None,
     rng: RandomStream | None = None,
-) -> Result:
+) -> tuple[Answer, Certificate | None, RunStats]:
     """Exact majority of the given balls; Las Vegas comparison count.
 
     Returns (answer, certificate, stats).  The certificate accompanies
@@ -614,7 +611,7 @@ def heavy(
     balls: Sequence[int] | None = None,
     params: Params | None = None,
     rng: RandomStream | None = None,
-) -> Result:
+) -> tuple[Answer, Certificate | None, RunStats]:
     """Census the given candidate unconditionally at the top level."""
     return _drive(
         oracle, balls, params, rng, lambda run, b: _heavy(run, b, candidate, 0)

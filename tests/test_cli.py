@@ -136,7 +136,7 @@ def test_bench_stdout_determinism(tmp_path, capsys):
         "bench", "--sizes", "128", "--trials", "3", "--seed", "4", "--cutoff", "16",
     ]
     code1, out1, _ = run_cli(capsys, *argv)
-    code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
+    code2, out2, _ = run_cli(capsys, *argv, "--jobs", str(min(2, os.cpu_count() or 1)))
     assert code1 == code2 == 0
     assert out1 == out2
 

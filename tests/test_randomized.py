@@ -280,7 +280,9 @@ def test_single_survivor_root_stops_scan_early():
     for seed in range(20):
         inst = generate("uniform:k=n", n, RandomStream(36, "lone", seed))
         oracle = CountingOracle(inst)
-        _, _, stats = majority(oracle, params=Params(cutoff=64), rng=RandomStream(37, seed))
+        _, _, stats = majority(
+            oracle, params=Params(cutoff=64), rng=RandomStream(37, seed)
+        )
         if stats.levels[0].x_size == 1:
             lone += 1
             assert stats.comparisons <= n // 2 + 2
