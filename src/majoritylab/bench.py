@@ -38,6 +38,7 @@ __all__ = [
     "rows_to_csv",
     "rows_to_json",
     "format_summary",
+    "usable_cpus",
 ]
 
 ALGORITHMS = ("rand-majority", "boyer-moore")
@@ -55,6 +56,13 @@ _COLUMNS = (
     "correct",
     "cert_ok",
 )
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         # A fork-based pool starts every worker up front, so the bound is
         # checked here, before any process exists.
-        cpus = os.cpu_count() or 1
+        cpus = usable_cpus()
         if not 1 <= self.jobs <= cpus:
             raise ValueError(f"jobs must be between 1 and {cpus}, got {self.jobs}")
         if self.cutoff is not None and self.cutoff < 2:

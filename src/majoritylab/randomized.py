@@ -1,20 +1,16 @@
 """Randomized exact majority finding with certified answers.
 
-Each level above the cutoff runs one of two strategies:
+Every level above the cutoff runs one pairing step: pair the balls at
+random, keep one survivor of each equal pair, recurse on the survivors,
+then settle the level.  A no-majority verdict below is lifted through the
+pairs; a survivor majority is checked against the unequal pairs with a
+deficit count that stops as soon as the candidate can no longer reach a
+majority.
 
-* ``balanced`` - pair balls at random, keep one survivor of each equal
-  pair, recurse on the survivors, then settle the level: a no-majority
-  verdict below is lifted through the pairs, and a survivor majority is
-  checked against the unequal pairs with a deficit count that stops as soon
-  as the candidate can no longer reach a majority.
-* ``heavy``    - census one promising candidate directly, and when it
-  falls short, finish the no-majority certificate by pairing off the rest.
-
-The choice comes from a small sample of the level: heavy needs the top
-sampled class to leave the balanced window ``|q - 0.5| <= 4 * eps(m)``.
-Every estimate lies within 0.5 of one half, so the sample is drawn only
-when ``4 * eps(m) < 0.5``; with the default ``eps(m) = m**-0.1`` that means
-m above 2^30, and below it every level is balanced and samples nothing.
+``heavy`` is a second strategy, run directly on a given candidate: census
+it, and when it falls short, finish the no-majority certificate by pairing
+off the rest.  ``estimate_frequencies`` and ``classify_branch`` describe
+when a sampled level would prefer it; ``majority`` itself never samples.
 
 Every path is Las Vegas: answers are always exact, randomness moves only
 the comparison count.  No-majority answers carry a certificate that an
@@ -64,10 +60,10 @@ def _default_epsilon(m: int) -> float:
 class Params:
     """Tuning knobs for the randomized driver.
 
-    alpha    - sample-size exponent; the driver samples ceil(m**alpha) balls.
+    alpha    - sample-size exponent; a sample holds ceil(m**alpha) balls.
     beta     - heavy-branch threshold; must lie in (BETA_LOW, BETA_HIGH).
     cutoff   - below this size the driver hands off to boyer_moore.
-    epsilon  - slack function of the current size m used by the guards.
+    epsilon  - slack function of the size m used by classify_branch.
     cap_factor - hard comparison cap, cap_factor * n per run.
     """
 
@@ -126,7 +122,8 @@ class LevelStats:
     pairing pass (for heavy, its pair scan of the census leftovers),
     ``scan`` is the candidate-versus-others pass (for heavy, the census),
     ``leftover`` covers odd-size resolution probes, ``fallback`` the
-    terminal boyer_moore rerun.
+    terminal boyer_moore rerun.  ``sample`` stays 0: the driver draws no
+    sample.
     """
 
     branch: str
@@ -387,9 +384,7 @@ def _finish_no_majority(
     return _resolve_leftover(run, lv, balls, leftover, cert, m)
 
 
-def _balanced(
-    run: _Run, balls: list[int], sample_cost: int
-) -> tuple[Answer, Certificate | None]:
+def _balanced(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
     """One pairing level: pair, recurse on the survivors, settle the verdict.
 
     A no-majority verdict below is lifted through the pairs.  A survivor
@@ -400,7 +395,7 @@ def _balanced(
     no-majority is already forced.
     """
     m = len(balls)
-    lv = LevelStats("balanced", m, sample_comparisons=sample_cost)
+    lv = LevelStats("balanced", m)
     run.levels.append(lv)
     run.trace.append("balanced")
     oracle = run.oracle
@@ -442,11 +437,9 @@ def _balanced(
     return Answer.majority(v, m // 2 + cnt), None
 
 
-def _heavy(
-    run: _Run, balls: list[int], candidate: int, sample_cost: int
-) -> tuple[Answer, Certificate | None]:
+def _heavy(run: _Run, balls: list[int], candidate: int) -> tuple[Answer, Certificate | None]:
     m = len(balls)
-    lv = LevelStats("heavy", m, sample_comparisons=sample_cost)
+    lv = LevelStats("heavy", m)
     run.levels.append(lv)
     run.trace.append("heavy")
     oracle = run.oracle
@@ -514,12 +507,6 @@ def _heavy(
     return Answer.no_majority(), Certificate(pairs=pairs, triangle=triangle)
 
 
-def _sample(run: _Run, balls: list[int]) -> SampleEstimate:
-    size = run.params.sample_size(len(balls))
-    positions = run.rng.sample_indices(len(balls), size)
-    return estimate_frequencies(run.oracle, [balls[p - 1] for p in positions])
-
-
 def _base(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
     lv = LevelStats("base", len(balls))
     run.levels.append(lv)
@@ -539,14 +526,7 @@ def _solve(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
         return Answer.majority(balls[0], 1), None
     if m <= run.params.cutoff:
         return _base(run, balls)
-    # |q - 0.5| <= 0.5 for every estimate, so while 4*eps >= 0.5 the
-    # balanced window holds whatever the sample says: skip drawing it.
-    if 4 * run.params.epsilon(m) >= 0.5:
-        return _balanced(run, balls, 0)
-    est = _sample(run, balls)
-    if classify_branch(est, m, run.params) == "heavy":
-        return _heavy(run, balls, est.representatives[0], est.comparisons)
-    return _balanced(run, balls, est.comparisons)
+    return _balanced(run, balls)
 
 
 def _drive(
@@ -613,6 +593,4 @@ def heavy(
     rng: RandomStream | None = None,
 ) -> tuple[Answer, Certificate | None, RunStats]:
     """Census the given candidate unconditionally at the top level."""
-    return _drive(
-        oracle, balls, params, rng, lambda run, b: _heavy(run, b, candidate, 0)
-    )
+    return _drive(oracle, balls, params, rng, lambda run, b: _heavy(run, b, candidate))

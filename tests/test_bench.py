@@ -1,7 +1,6 @@
 """The experiment runner: determinism, CSV shape, summaries, gates."""
 
 import json
-import os
 
 import pytest
 
@@ -17,6 +16,7 @@ from majoritylab.bench import (
     run_grid,
     run_trial,
     summarize,
+    usable_cpus,
 )
 
 
@@ -45,7 +45,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(jobs=0)
     with pytest.raises(ValueError):
-        small_config(jobs=(os.cpu_count() or 1) + 1)
+        small_config(jobs=usable_cpus() + 1)
     with pytest.raises(ValueError):
         small_config(cutoff=1)
     with pytest.raises(ValueError):
@@ -81,9 +81,10 @@ def test_rows_are_checked_and_correct():
     assert contract_violations(rows) == []
 
 
+@pytest.mark.skipif(usable_cpus() < 2, reason="a worker pool needs two CPUs")
 def test_run_grid_jobs_do_not_change_rows():
     serial = run_grid(small_config(jobs=1))
-    parallel = run_grid(small_config(jobs=min(3, os.cpu_count() or 1)))
+    parallel = run_grid(small_config(jobs=2))
     assert [strip_timing(r) for r in serial] == [strip_timing(r) for r in parallel]
 
 

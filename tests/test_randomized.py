@@ -88,8 +88,7 @@ def test_classify_branch_three_ways():
 def test_classify_branch_default_window_is_wide():
     # With the default slack eps = m**-0.1, 4*eps >= 0.5 for every m below
     # 8**10 = 2^30, so the balanced guard holds for any estimate (|q - 0.5|
-    # never exceeds 0.5) and the driver skips the sample; heavy is reached
-    # by dispatch only under a tighter schedule, or through heavy() itself.
+    # never exceeds 0.5).
     assert classify_branch(make_estimate([1.0]), 2**30 - 1, Params()) == "balanced"
     assert classify_branch(make_estimate([0.9, 0.05, 0.05]), 2**20, Params()) == "balanced"
 
@@ -247,29 +246,6 @@ def test_light_on_fragmented_input():
     )
     assert not answer.is_majority
     assert verify_run(2048, oracle.transcript, answer, cert).accepted
-
-
-def test_default_params_never_sample():
-    inst = generate("uniform:k=n", 1 << 13, RandomStream(32))
-    _, _, stats = majority(
-        CountingOracle(inst), params=Params(cutoff=64), rng=RandomStream(33)
-    )
-    assert all(lv.sample_comparisons == 0 for lv in stats.levels)
-
-
-def test_tight_epsilon_dispatches_heavy():
-    n = 1 << 13
-    inst = generate("binary:p=0.9", n, RandomStream(34))
-    oracle = CountingOracle(inst, record_transcript=True)
-    answer, cert, stats = majority(
-        oracle,
-        params=Params(cutoff=64, epsilon=lambda m: 0.01),
-        rng=RandomStream(35),
-    )
-    assert stats.branch_trace[0] == "heavy"
-    assert stats.levels[0].sample_comparisons > 0
-    assert verify_run(n, oracle.transcript, answer, cert).accepted
-    assert_run_ok(inst, answer, cert, True)
 
 
 def test_single_survivor_root_stops_scan_early():
