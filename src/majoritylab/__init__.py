@@ -18,7 +18,6 @@ from .certify import (
     build_eq_structure,
     check_majority_claim,
     check_no_majority_claim,
-    lift_certificate,
     verify_run,
 )
 from .core import (
@@ -47,13 +46,10 @@ from .lowerbound import (
     simulate_balance,
 )
 from .randomized import (
-    BETA_HIGH,
-    BETA_LOW,
     LevelStats,
     Params,
     RunStats,
     SampleEstimate,
-    classify_branch,
     estimate_frequencies,
     heavy,
     majority,
@@ -75,7 +71,6 @@ __all__ = [
     "build_eq_structure",
     "check_majority_claim",
     "check_no_majority_claim",
-    "lift_certificate",
     "verify_run",
     "ComparisonRecord",
     "CountingOracle",
@@ -98,13 +93,10 @@ __all__ = [
     "normal_cdf",
     "predict_bound",
     "simulate_balance",
-    "BETA_HIGH",
-    "BETA_LOW",
     "LevelStats",
     "Params",
     "RunStats",
     "SampleEstimate",
-    "classify_branch",
     "estimate_frequencies",
     "heavy",
     "majority",

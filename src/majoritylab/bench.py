@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from statistics import mean, stdev
 from typing import Iterable, Sequence
 
+from .answers import Answer, Certificate
 from .boyer_moore import boyer_moore
 from .certify import answer_matches_brute_force, verify_run
 from .core import CountingOracle, generate, parse_distribution
@@ -31,6 +32,7 @@ __all__ = [
     "ExperimentConfig",
     "TrialRow",
     "SummaryRow",
+    "solve",
     "run_trial",
     "run_grid",
     "summarize",
@@ -121,6 +123,27 @@ def _checked(config: ExperimentConfig, n: int, trial: int) -> bool:
     return trial % 10 == 0  # sampled checking above the full-check limit
 
 
+def solve(
+    algorithm: str,
+    oracle: CountingOracle,
+    master_seed: int,
+    trial: int = 0,
+    cutoff: int | None = None,
+) -> tuple[Answer, Certificate | None, tuple[str, ...]]:
+    """Run one algorithm on the oracle's instance; returns (answer, cert, trace).
+
+    The randomized driver draws from the stream ``run/{algorithm}/{n}`` at
+    index ``trial``, so the CLI and a grid trial of the same seed agree.
+    """
+    if algorithm == "boyer-moore":
+        answer, cert = boyer_moore(oracle)
+        return answer, cert, ("base",)
+    params = Params() if cutoff is None else Params(cutoff=cutoff)
+    rng = RandomStream(master_seed, f"run/{algorithm}/{oracle.instance.n}", trial)
+    answer, cert, stats = majority(oracle, params=params, rng=rng)
+    return answer, cert, stats.branch_trace
+
+
 def run_trial(config: ExperimentConfig, n: int, trial: int) -> TrialRow:
     inst_rng = RandomStream(config.master_seed, f"instance/{n}", trial)
     instance = generate(config.distribution, n, inst_rng)
@@ -128,14 +151,9 @@ def run_trial(config: ExperimentConfig, n: int, trial: int) -> TrialRow:
     oracle = CountingOracle(instance, record_transcript=checking)
 
     start = time.perf_counter()
-    if config.algorithm == "boyer-moore":
-        answer, cert = boyer_moore(oracle)
-        branch = "base"
-    else:
-        params = Params(cutoff=config.cutoff) if config.cutoff else Params()
-        run_rng = RandomStream(config.master_seed, f"run/{config.algorithm}/{n}", trial)
-        answer, cert, stats = majority(oracle, params=params, rng=run_rng)
-        branch = stats.branch_trace[0]
+    answer, cert, trace = solve(
+        config.algorithm, oracle, config.master_seed, trial, config.cutoff
+    )
     wall_ms = (time.perf_counter() - start) * 1e3
 
     correct = cert_ok = None
@@ -148,7 +166,7 @@ def run_trial(config: ExperimentConfig, n: int, trial: int) -> TrialRow:
         trial=trial,
         seed=f"{config.master_seed}:{n}:{trial}",
         algorithm=config.algorithm,
-        branch=branch,
+        branch=trace[0],
         comparisons=oracle.comparisons,
         answer=answer.kind,
         multiplicity=answer.multiplicity,

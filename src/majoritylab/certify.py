@@ -36,7 +36,6 @@ __all__ = [
     "verify_run",
     "brute_force_majority",
     "answer_matches_brute_force",
-    "lift_certificate",
 ]
 
 
@@ -296,34 +295,3 @@ def answer_matches_brute_force(
         return False
     return instance.color_of(answer.witness) == instance.color_of(truth.witness)
 
-
-# ----------------------------------------------------------------------
-# Certificate plumbing shared by the recursive algorithm
-# ----------------------------------------------------------------------
-
-
-def lift_certificate(cert: Certificate, partner: dict[int, int]) -> Certificate:
-    """Map a certificate over pair representatives back to the full multiset.
-
-    Each representative x stands for an equal pair (x, partner[x]).  A
-    certified pair (a, b) therefore yields the mirror pair
-    (partner[a], partner[b]) for free, and a certified triangle yields three
-    cross pairs covering all six balls.  Balls without a partner entry (the
-    recursion can be handed arbitrary subsets) lift to themselves only.
-    """
-    pairs: list[tuple[int, int]] = []
-    for a, b in cert.pairs:
-        pairs.append((a, b))
-        if a in partner and b in partner:
-            pairs.append((partner[a], partner[b]))
-    if cert.triangle is not None:
-        t1, t2, t3 = cert.triangle
-        if t1 in partner and t2 in partner and t3 in partner:
-            pairs.append((t1, partner[t2]))
-            pairs.append((t2, partner[t3]))
-            pairs.append((t3, partner[t1]))
-            return Certificate(pairs=tuple(pairs), candidate=cert.candidate)
-        return Certificate(
-            pairs=tuple(pairs), triangle=cert.triangle, candidate=cert.candidate
-        )
-    return Certificate(pairs=tuple(pairs), candidate=cert.candidate)

@@ -24,9 +24,9 @@ from .bench import (
     rows_to_csv,
     rows_to_json,
     run_grid,
+    solve,
     summarize,
 )
-from .boyer_moore import boyer_moore
 from .certify import answer_matches_brute_force, brute_force_majority, verify_run
 from .core import CountingOracle, generate, read_instance
 from .lowerbound import (
@@ -35,7 +35,6 @@ from .lowerbound import (
     lower_bound_constant,
     simulate_balance,
 )
-from .randomized import Params, majority
 from .rng import RandomStream
 
 __all__ = ["main"]
@@ -46,6 +45,8 @@ def _parse_size(token: str) -> int:
     token = token.strip()
     if "^" in token:
         base, _, exp = token.partition("^")
+        if int(exp) < 0:
+            raise ValueError(f"size {token!r} is not an integer")
         return int(base) ** int(exp)
     return int(token)
 
@@ -56,20 +57,16 @@ def _load_instance(args: argparse.Namespace):
     if args.n is None:
         raise ValueError("either --instance or --n is required")
     inst_rng = RandomStream(args.seed, f"instance/{args.n}", 0)
-    return generate(args.dist, args.n, inst_rng)
+    try:
+        return generate(args.dist, args.n, inst_rng)
+    except (MemoryError, OverflowError):
+        raise ValueError(f"--n {args.n} is too large to generate in memory") from None
 
 
 def _solve(instance, args: argparse.Namespace, record_transcript: bool):
     """Run the chosen algorithm; returns (answer, cert, trace, oracle)."""
     oracle = CountingOracle(instance, record_transcript=record_transcript)
-    if args.algo == "boyer-moore":
-        answer, cert = boyer_moore(oracle)
-        trace: tuple[str, ...] = ("base",)
-    else:
-        params = Params(cutoff=args.cutoff) if args.cutoff else Params()
-        run_rng = RandomStream(args.seed, f"run/{args.algo}/{instance.n}", 0)
-        answer, cert, stats = majority(oracle, params=params, rng=run_rng)
-        trace = stats.branch_trace
+    answer, cert, trace = solve(args.algo, oracle, args.seed, cutoff=args.cutoff)
     return answer, cert, trace, oracle
 
 
@@ -281,10 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as exc:
         print(f"contract violated: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -293,12 +293,21 @@ def write_instance(instance: Instance, path: str) -> None:
 
 
 def read_instance(path: str) -> Instance:
+    values: list[int] = []
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
+        for lineno, line in enumerate(fh, start=1):
+            token = line.strip()
+            if not token:
+                continue
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected an integer, got {token!r}"
+                ) from None
+    if not values:
         raise ValueError(f"{path}: empty instance file")
-    n = int(lines[0])
-    colors = [int(tok) for tok in lines[1:]]
+    n, colors = values[0], values[1:]
     if len(colors) != n:
         raise ValueError(f"{path}: header says n={n} but found {len(colors)} colors")
     if any(c < 0 for c in colors):

@@ -5,12 +5,12 @@ random, keep one survivor of each equal pair, recurse on the survivors,
 then settle the level.  A no-majority verdict below is lifted through the
 pairs; a survivor majority is checked against the unequal pairs with a
 deficit count that stops as soon as the candidate can no longer reach a
-majority.
+majority.  ``majority`` draws no sample and makes no dispatch decision.
 
 ``heavy`` is a second strategy, run directly on a given candidate: census
 it, and when it falls short, finish the no-majority certificate by pairing
-off the rest.  ``estimate_frequencies`` and ``classify_branch`` describe
-when a sampled level would prefer it; ``majority`` itself never samples.
+off the rest.  ``estimate_frequencies`` is the sampler a dispatching level
+would build on.
 
 Every path is Las Vegas: answers are always exact, randomness moves only
 the comparison count.  No-majority answers carry a certificate that an
@@ -27,7 +27,6 @@ import numpy as np
 
 from .answers import Answer, Certificate, ContractViolation
 from .boyer_moore import boyer_moore
-from .certify import lift_certificate
 from .core import CountingOracle
 from .rng import RandomStream
 
@@ -37,58 +36,27 @@ __all__ = [
     "RunStats",
     "LevelStats",
     "estimate_frequencies",
-    "classify_branch",
     "majority",
     "heavy",
-    "BETA_LOW",
-    "BETA_HIGH",
 ]
-
-# Admissible range for the heavy-branch threshold.  The low end is
-# 1 - 1/sqrt(3); the high end is the root of p^3 - 19 p^2 - 8 p + 8 in
-# (0, 1).  lowerbound.beta_interval recomputes both from scratch; the
-# pinned values here avoid a module cycle and are cross-checked in tests.
-BETA_LOW = 1.0 - 3.0 ** -0.5
-BETA_HIGH = 0.47579949323375736
-
-
-def _default_epsilon(m: int) -> float:
-    return m ** -0.1
 
 
 @dataclass(frozen=True)
 class Params:
-    """Tuning knobs for the randomized driver.
+    """The two values the driver reads.
 
-    alpha    - sample-size exponent; a sample holds ceil(m**alpha) balls.
-    beta     - heavy-branch threshold; must lie in (BETA_LOW, BETA_HIGH).
-    cutoff   - below this size the driver hands off to boyer_moore.
-    epsilon  - slack function of the size m used by classify_branch.
+    cutoff     - at or below this size a level hands off to boyer_moore.
     cap_factor - hard comparison cap, cap_factor * n per run.
     """
 
-    alpha: float = 1.0 / 3.0
-    beta: float = 0.45
     cutoff: int = 1024
-    epsilon: Callable[[int], float] = _default_epsilon
     cap_factor: int = 8
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not BETA_LOW < self.beta < BETA_HIGH:
-            raise ValueError(
-                f"beta must be in ({BETA_LOW:.6f}, {BETA_HIGH:.6f}), got {self.beta}"
-            )
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
         if self.cap_factor < 1:
             raise ValueError("cap_factor must be positive")
-
-    def sample_size(self, m: int) -> int:
-        # The tiny nudge stops float noise from bumping an exact power
-        # (e.g. m = 10**6 with alpha = 1/3) up to the next integer.
-        return min(m, math.ceil(m ** self.alpha - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -104,14 +72,6 @@ class SampleEstimate:
     frequencies: tuple[float, ...]
     sample_size: int
     comparisons: int
-
-    @property
-    def q1(self) -> float:
-        return self.frequencies[0] if self.frequencies else 0.0
-
-    @property
-    def q2(self) -> float:
-        return self.frequencies[1] if len(self.frequencies) > 1 else 0.0
 
 
 @dataclass
@@ -183,21 +143,6 @@ def estimate_frequencies(oracle: CountingOracle, sample: Sequence[int]) -> Sampl
     )
 
 
-def classify_branch(estimate: SampleEstimate, m: int, params: Params) -> str:
-    """Pick "heavy" or "balanced" for a sub-instance of size m.
-
-    Heavy needs the top two sampled frequencies outside the balanced window
-    and a top class of at least beta that outweighs the squared tail.
-    """
-    eps = params.epsilon(m)
-    q1, q2 = estimate.q1, estimate.q2
-    in_window = abs(q1 - 0.5) <= 4 * eps and abs(q2 - 0.5) <= 4 * eps
-    tail = sum(q * q for q in estimate.frequencies[1:])
-    if not in_window and q1 >= params.beta and q1 * q1 >= tail + 2 * eps:
-        return "heavy"
-    return "balanced"
-
-
 class _Run:
     """Mutable state threaded through one driver invocation."""
 
@@ -217,10 +162,6 @@ class _Run:
         The generator is seeded once per run by consuming scalar draws, so
         determinism and run-to-run independence both come from the stream.
         """
-        if len(balls) < 64:
-            order = list(balls)
-            self.rng.shuffle(order)
-            return order
         if self._np_gen is None:
             self._np_gen = self.rng.numpy_child()
         arr = np.fromiter(balls, dtype=np.int64, count=len(balls))
@@ -364,6 +305,23 @@ def _resolve_leftover(
     return Answer.no_majority(), Certificate(pairs=cert.pairs, candidate=anchor)
 
 
+def _lift_certificate(cert: Certificate, partner: dict[int, int]) -> Certificate:
+    """Map a survivor-level certificate back to the balls of the level.
+
+    Each survivor x stands for the equal pair (x, partner[x]).  A certified
+    pair (a, b) therefore yields the mirror pair (partner[a], partner[b])
+    for free, and a certified triangle yields three cross pairs covering
+    all six balls, so the lifted certificate never carries a triangle.
+    """
+    pairs: list[tuple[int, int]] = []
+    for a, b in cert.pairs:
+        pairs.extend(((a, b), (partner[a], partner[b])))
+    if cert.triangle is not None:
+        t1, t2, t3 = cert.triangle
+        pairs.extend(((t1, partner[t2]), (t2, partner[t3]), (t3, partner[t1])))
+    return Certificate(pairs=tuple(pairs), candidate=cert.candidate)
+
+
 def _finish_no_majority(
     run: _Run,
     lv: LevelStats,
@@ -375,9 +333,7 @@ def _finish_no_majority(
     m: int,
 ) -> tuple[Answer, Certificate | None]:
     """Lift a survivor-level certificate back to the full level."""
-    lifted = lift_certificate(sub_cert, partner)
-    if lifted.triangle is not None:
-        raise ContractViolation("survivor certificates must lift without triangles")
+    lifted = _lift_certificate(sub_cert, partner)
     cert = Certificate(pairs=tuple(unequal) + lifted.pairs, candidate=lifted.candidate)
     if leftover is None:
         return Answer.no_majority(), cert

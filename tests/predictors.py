@@ -75,35 +75,23 @@ def expected_boyer_moore(counts: list[float]) -> float:
     return pass1 + (m - 1.0)
 
 
-def _sampling_cost(m: float, k: int, params: Params) -> float:
-    # k distinct classes, roughly even: a sampled ball matches a
-
-    # representative after about half of them on average.
-    s = params.sample_size(int(m))
-    return s * (k + 1) / 2.0
-
-
-def predict_light(counts: list[int], params: Params) -> float:
+def predict_light(counts: list[int]) -> float:
     """Expected comparisons for the pairing strategy on a no-majority profile.
 
-    Each level pays its pairing pass, the next level's sample, and a couple
-    of probes when sizes go odd; survivors of class i arrive in proportion
-    to picking two of that class, and the recursion bottoms out in the
-    baseline below the cutoff.  No scan term: with every class far from
-    half, the recursive verdict is no-majority and the strategy certifies
-    instead of scanning.
+    Each level pays its pairing pass and a couple of probes when sizes go
+    odd; survivors of class i arrive in proportion to picking two of that
+    class, and the recursion bottoms out in the baseline below the default
+    cutoff.  No scan term: with every class far from half, the recursive
+    verdict is no-majority and the strategy certifies instead of scanning.
     """
+    cutoff = Params().cutoff
     sizes = [float(c) for c in counts]
     total = 0.0
-    while sum(sizes) > params.cutoff:
+    while sum(sizes) > cutoff:
         m = sum(sizes)
         total += m / 2.0  # pairing plus the occasional odd-leftover probes
         pairs = math.floor(m / 2.0)
-        survivors = [pairs * c * (c - 1.0) / (m * (m - 1.0)) for c in sizes]
-        k = sum(survivors)
-        if k > params.cutoff:
-            total += _sampling_cost(k, len([c for c in survivors if c >= 1]), params)
+        sizes = [pairs * c * (c - 1.0) / (m * (m - 1.0)) for c in sizes]
         total += 2.0  # odd-size resolution probes, a fixed nominal charge
-        sizes = survivors
     total += expected_boyer_moore(sizes)
     return total

@@ -267,7 +267,7 @@ def test_criterion_6_branch_cost_formulas():
             inst = generate(
                 "profile:0.25,0.25,0.25,0.25", BIG_N, RandomStream(507, "accept/light-inst", inst_idx)
             )
-            predicted = predict_light(class_counts(inst), Params())
+            predicted = predict_light(class_counts(inst))
             for rep in range(10):
                 oracle = CountingOracle(inst)
                 answer, _, _ = majority(

@@ -1,19 +1,25 @@
-"""The auditor: knowledge structure, claim checking, certificate lifting."""
+"""The auditor: knowledge structure, claim checking, perturbed transcripts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majoritylab import (
     Answer,
     Certificate,
     ComparisonRecord,
+    CountingOracle,
     InconsistentTranscript,
     Instance,
+    Params,
+    RandomStream,
     answer_matches_brute_force,
+    boyer_moore,
     brute_force_majority,
     build_eq_structure,
     check_majority_claim,
     check_no_majority_claim,
-    lift_certificate,
+    majority,
     verify_run,
 )
 
@@ -150,28 +156,6 @@ def test_verify_run_end_to_end():
     assert not res.accepted and "inconsistent" in res.reason
 
 
-def test_lift_doubles_pairs_through_partners():
-    cert = Certificate(pairs=((2, 4),), candidate=2)
-    lifted = lift_certificate(cert, {2: 1, 4: 3})
-    assert lifted.pairs == ((2, 4), (1, 3))
-    assert lifted.candidate == 2
-
-
-def test_lift_triangle_to_cross_pairs():
-    cert = Certificate(triangle=(2, 4, 6))
-    lifted = lift_certificate(cert, {2: 1, 4: 3, 6: 5})
-    assert lifted.triangle is None
-    assert sorted(lifted.pairs) == [(2, 3), (4, 5), (6, 1)]
-    assert sorted(lifted.covered_balls()) == [1, 2, 3, 4, 5, 6]
-
-
-def test_lift_keeps_triangle_without_partners():
-    cert = Certificate(triangle=(1, 2, 3))
-    lifted = lift_certificate(cert, {})
-    assert lifted.triangle == (1, 2, 3)
-    assert lifted.pairs == ()
-
-
 def test_brute_force_and_matching():
     inst = Instance((1, 2, 1, 1))
     truth = brute_force_majority(inst)
@@ -188,3 +172,84 @@ def test_brute_force_on_subset():
     truth = brute_force_majority(inst, balls=[2, 3, 4])
     assert truth.is_majority and truth.multiplicity == 2
     assert inst.color_of(truth.witness) == 2
+
+
+def set_partitions(n, prefix=()):
+    """Every coloring of balls 1..n up to renaming colors (Bell(n) of them)."""
+    if len(prefix) == n:
+        yield prefix
+        return
+    for color in range(1, max(prefix, default=0) + 2):
+        yield from set_partitions(n, prefix + (color,))
+
+
+def matching_of_unequal_records(transcript):
+    """A no-majority certificate a solver could build from the records alone."""
+    used, pairs = set(), []
+    for r in transcript:
+        if not r.equal and r.left != r.right and not {r.left, r.right} & used:
+            used |= {r.left, r.right}
+            pairs.append((r.left, r.right))
+    return Certificate(pairs=tuple(pairs))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    colors=st.lists(st.integers(1, 3), min_size=2, max_size=7),
+    use_baseline=st.booleans(),
+    seed=st.integers(0, 1000),
+    position=st.integers(0, 10**6),
+    flip=st.booleans(),
+)
+def test_perturbed_transcript_never_endorses_a_false_claim(
+    colors, use_baseline, seed, position, flip
+):
+    # Flip or drop one record of an honest run, then offer the auditor the
+    # honest claim and false ones.  The auditor only sees the transcript, so
+    # an accepted claim must hold on every coloring the perturbed records
+    # allow.  A dropped record leaves the transcript true, so the real
+    # instance is among those colorings; a flipped one may leave none, and
+    # then nothing may be accepted.
+    inst = Instance(tuple(colors))
+    n = inst.n
+    oracle = CountingOracle(inst, record_transcript=True)
+    if use_baseline:
+        answer, cert = boyer_moore(oracle)
+    else:
+        answer, cert, _ = majority(
+            oracle, params=Params(cutoff=2), rng=RandomStream(seed, "perturb", n)
+        )
+    transcript = list(oracle.transcript)
+    i = position % len(transcript)
+    if flip:
+        transcript[i] = transcript[i]._replace(equal=not transcript[i].equal)
+    else:
+        del transcript[i]
+
+    consistent = [
+        Instance(c)
+        for c in set_partitions(n)
+        if all((c[r.left - 1] == c[r.right - 1]) == r.equal for r in transcript)
+    ]
+    if not flip:
+        names = {}
+        real = tuple(names.setdefault(c, len(names) + 1) for c in colors)
+        assert Instance(real) in consistent
+
+    claims = [(answer, cert)]
+    if answer.is_majority:
+        claims += [
+            (Answer.majority(answer.witness, answer.multiplicity + 1), None),
+            (Answer.majority(answer.witness, answer.multiplicity - 1), None),
+            (Answer.no_majority(), matching_of_unequal_records(transcript)),
+        ]
+    else:
+        witness = cert.candidate if cert.candidate is not None else 1
+        claims.append((Answer.majority(witness, n // 2 + 1), None))
+    for claim, claim_cert in claims:
+        if verify_run(n, transcript, claim, claim_cert).accepted:
+            assert consistent, f"accepted {claim} on a contradictory transcript"
+            for c in consistent:
+                assert answer_matches_brute_force(claim, c), (claim, c.colors)
+            if not flip:
+                assert answer_matches_brute_force(claim, inst)

@@ -179,6 +179,45 @@ def test_contract_violation_exits_1(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ContractViolation("comparison cap breached")
 
-    monkeypatch.setattr(cli, "majority", broken)
+    monkeypatch.setattr(bench, "majority", broken)
     code, _, err = run_cli(capsys, "run", "--n", "100")
     assert code == 1 and "contract violated" in err
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+def test_run_oversized_n_is_usage_error(capsys, monkeypatch, error):
+    # Stands in for an instance too large to allocate; nothing big is built.
+    def too_big(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli, "generate", too_big)
+    code, _, err = run_cli(capsys, "run", "--n", "2^40")
+    assert code == 2
+    assert f"--n {1 << 40} is too large" in err
+
+
+def test_negative_size_exponent_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--n", "2^-1"])
+    assert info.value.code == 2
+    code, _, err = run_cli(capsys, "bench", "--sizes", "64,2^-1")
+    assert code == 2 and "'2^-1' is not an integer" in err
+
+
+def test_run_instance_directory_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "--instance", str(tmp_path))
+    assert code == 2 and "Is a directory" in err
+
+
+def test_run_cutoff_below_two_is_usage_error(capsys):
+    for cutoff in ("0", "1"):
+        code, _, err = run_cli(capsys, "run", "--n", "100", "--cutoff", cutoff)
+        assert code == 2 and "cutoff must be at least 2" in err
+
+
+def test_run_bad_instance_header_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("\nabc\n1\n")
+    code, _, err = run_cli(capsys, "run", "--instance", str(path))
+    assert code == 2
+    assert f"{path}: line 2: expected an integer, got 'abc'" in err

@@ -172,3 +172,6 @@ def test_read_instance_validates(tmp_path):
     path.write_text("3\n1\n2\n")
     with pytest.raises(ValueError):
         read_instance(str(path))
+    path.write_text("2\n1\n\nx\n")
+    with pytest.raises(ValueError, match="line 4: expected an integer, got 'x'"):
+        read_instance(str(path))

@@ -8,8 +8,6 @@ from pathlib import Path
 import pytest
 
 from majoritylab import (
-    BETA_HIGH,
-    BETA_LOW,
     Answer,
     Certificate,
     ContractViolation,
@@ -18,8 +16,6 @@ from majoritylab import (
     Params,
     RandomStream,
     RunStats,
-    SampleEstimate,
-    classify_branch,
     estimate_frequencies,
     generate,
     heavy,
@@ -27,6 +23,7 @@ from majoritylab import (
     verify_run,
 )
 
+from majoritylab.randomized import _lift_certificate
 from support import all_colorings, assert_run_ok, run_randomized
 
 
@@ -35,22 +32,9 @@ from support import all_colorings, assert_run_ok, run_randomized
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        Params(alpha=0.0)
-    with pytest.raises(ValueError):
-        Params(beta=BETA_LOW)
-    with pytest.raises(ValueError):
-        Params(beta=BETA_HIGH)
-    with pytest.raises(ValueError):
         Params(cutoff=1)
     with pytest.raises(ValueError):
         Params(cap_factor=0)
-
-
-def test_sample_size_exact_cube():
-    params = Params(alpha=1.0 / 3.0)
-    assert params.sample_size(10**6) == 100  # no float-noise bump to 101
-    assert params.sample_size(8) == 2
-    assert params.sample_size(2) == 2  # capped at m
 
 
 def test_estimate_frequencies_ordering_and_cost():
@@ -61,36 +45,6 @@ def test_estimate_frequencies_ordering_and_cost():
     assert inst.color_of(est.representatives[0]) == 1
     assert est.sample_size == 6
     assert est.comparisons == oracle.comparisons
-    assert est.q1 == 0.5 and est.q2 == 1 / 3
-
-
-def make_estimate(freqs):
-    return SampleEstimate(
-        representatives=tuple(range(1, len(freqs) + 1)),
-        frequencies=tuple(freqs),
-        sample_size=100,
-        comparisons=0,
-    )
-
-
-def test_classify_branch_three_ways():
-    # A tight slack makes heavy reachable; every other estimate pairs.
-    params = Params(epsilon=lambda m: 0.01)
-    m = 10**6
-    assert classify_branch(make_estimate([0.5, 0.47, 0.03]), m, params) == "balanced"
-    assert classify_branch(make_estimate([0.9, 0.05, 0.05]), m, params) == "heavy"
-    # top class big but q1^2 below the squared tail plus slack: not heavy
-    assert classify_branch(make_estimate([0.46, 0.45, 0.09]), m, params) == "balanced"
-    # q1 below beta can never be heavy
-    assert classify_branch(make_estimate([0.44, 0.03, 0.03]), m, params) == "balanced"
-
-
-def test_classify_branch_default_window_is_wide():
-    # With the default slack eps = m**-0.1, 4*eps >= 0.5 for every m below
-    # 8**10 = 2^30, so the balanced guard holds for any estimate (|q - 0.5|
-    # never exceeds 0.5).
-    assert classify_branch(make_estimate([1.0]), 2**30 - 1, Params()) == "balanced"
-    assert classify_branch(make_estimate([0.9, 0.05, 0.05]), 2**20, Params()) == "balanced"
 
 
 # -- driver edge cases ----------------------------------------------------
@@ -236,6 +190,21 @@ def test_heavy_minority_candidate_still_exact():
     answer, cert, stats = heavy(oracle, minority_ball, rng=RandomStream(9))
     assert answer.is_majority and answer.multiplicity == 52
     assert verify_run(100, oracle.transcript, answer, cert).accepted
+
+
+def test_lift_doubles_pairs_through_partners():
+    cert = Certificate(pairs=((2, 4),), candidate=2)
+    lifted = _lift_certificate(cert, {2: 1, 4: 3})
+    assert lifted.pairs == ((2, 4), (1, 3))
+    assert lifted.candidate == 2
+
+
+def test_lift_triangle_to_cross_pairs():
+    cert = Certificate(triangle=(2, 4, 6))
+    lifted = _lift_certificate(cert, {2: 1, 4: 3, 6: 5})
+    assert lifted.triangle is None
+    assert sorted(lifted.pairs) == [(2, 3), (4, 5), (6, 1)]
+    assert sorted(lifted.covered_balls()) == [1, 2, 3, 4, 5, 6]
 
 
 def test_light_on_fragmented_input():
