@@ -16,10 +16,6 @@ import numpy as np
 
 from .rng import RandomStream
 
-# Above this size, generation draws colors in bulk through numpy; the colors
-# differ from the scalar path's but determinism per stream is preserved.
-_BULK_THRESHOLD = 4096
-
 __all__ = [
     "Instance",
     "ComparisonRecord",
@@ -233,19 +229,13 @@ def generate(spec: DistributionSpec | str, n: int, rng: RandomStream) -> Instanc
         return Instance(tuple(range(1, n + 1)))
 
     if spec.kind == "binary":
-        if n >= _BULK_THRESHOLD:
-            draws = rng.numpy_child().random(n)
-            return Instance(tuple(np.where(draws < spec.p, 1, 2).tolist()))
-        colors = tuple(1 if rng.bernoulli(spec.p) else 2 for _ in range(n))
-        return Instance(colors)
+        draws = rng.numpy_child().random(n)
+        return Instance(tuple(np.where(draws < spec.p, 1, 2).tolist()))
 
     if spec.kind == "uniform":
         k = spec.k if spec.k is not None else max(n, 1)
-        if n >= _BULK_THRESHOLD:
-            draws = rng.numpy_child().integers(1, k + 1, size=n)
-            return Instance(tuple(draws.tolist()))
-        colors = tuple(rng.randrange(k) + 1 for _ in range(n))
-        return Instance(colors)
+        draws = rng.numpy_child().integers(1, k + 1, size=n)
+        return Instance(tuple(draws.tolist()))
 
     if spec.kind == "profile":
         if spec.counts:
@@ -258,15 +248,9 @@ def generate(spec: DistributionSpec | str, n: int, rng: RandomStream) -> Instanc
                 remainder = max(0.0, 1.0 - sum(fractions))
                 fractions += [remainder / spec.rest_colors] * spec.rest_colors
             counts = _rounded_counts(fractions, n)
-        colors: list[int] = []
-        for color, count in enumerate(counts, start=1):
-            colors.extend([color] * count)
-        if n >= _BULK_THRESHOLD:
-            arr = np.fromiter(colors, dtype=np.int64, count=n)
-            order = rng.numpy_child().permutation(n)
-            return Instance(tuple(arr[order].tolist()))
-        rng.shuffle(colors)
-        return Instance(tuple(colors))
+        colors = np.repeat(np.arange(1, len(counts) + 1), counts)
+        order = rng.numpy_child().permutation(n)
+        return Instance(tuple(colors[order].tolist()))
 
     raise ValueError(f"unknown distribution kind {spec.kind!r}")
 
