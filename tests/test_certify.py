@@ -37,6 +37,52 @@ def test_eq_structure_unions_and_conflicts():
     assert eq.class_size(2) == 3
 
 
+@st.composite
+def small_transcripts(draw):
+    """Records true of a hidden 2-coloring, plus up to two arbitrary ones."""
+    n = draw(st.integers(1, 8))
+    colors = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    ball = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(ball, ball), max_size=24))
+    honest = [rec(a, b, colors[a - 1] == colors[b - 1]) for a, b in pairs]
+    arbitrary = draw(st.lists(st.builds(rec, ball, ball, st.booleans()), max_size=2))
+    return n, draw(st.permutations(honest + arbitrary))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=small_transcripts())
+def test_eq_structure_matches_naive_components(case):
+    # Naive reference: merge components by relabelling every ball, then a
+    # conflict is any unequal record joining two components.
+    n, transcript = case
+    comp = list(range(n + 1))
+    for r in transcript:
+        if r.equal:
+            old, new = comp[r.right], comp[r.left]
+            comp = [new if c == old else c for c in comp]
+    conflicts = {frozenset((comp[r.left], comp[r.right])) for r in transcript if not r.equal}
+    if any(len(edge) == 1 for edge in conflicts):
+        with pytest.raises(InconsistentTranscript):
+            build_eq_structure(n, transcript)
+        return
+
+    eq = build_eq_structure(n, transcript)
+    balls = range(1, n + 1)
+    roots = eq.class_roots()
+    assert len(roots) == len(set(comp[1:]))
+    assert {comp[r] for r in roots} == set(comp[1:])
+    for x in balls:
+        assert eq.class_size(x) == comp.count(comp[x])
+        found = eq.conflict_roots_of(x)
+        assert found <= set(roots)
+        assert {comp[r] for r in found} == {
+            c for edge in conflicts if comp[x] in edge for c in edge if c != comp[x]
+        }
+        for y in balls:
+            assert eq.same_class(x, y) == (comp[x] == comp[y])
+            assert eq.provably_unequal(x, y) == (frozenset((comp[x], comp[y])) in conflicts)
+
+
 def test_inconsistent_transcript_raises():
     with pytest.raises(InconsistentTranscript):
         build_eq_structure(3, [rec(1, 2, True), rec(1, 2, False)])
