@@ -1,20 +1,21 @@
 """Certificate auditing: replay a comparison transcript and check claims.
 
-The auditor is deliberately dumber than the algorithms it checks.  From a
-transcript it builds equality classes (union-find over "equal" records) and
-class-level conflict edges ("unequal" records).  Two balls are *provably
-unequal* only when their classes are joined by a recorded conflict edge.
-No multi-edge inference is performed here: reasoning like "x differs from
-two balls that differ from each other, so..." belongs to adversary-style
-arguments over binary alphabets, not to an auditor that must stay sound for
-arbitrary alphabets.
+The auditor is deliberately dumber than the algorithms it checks.  It
+freezes a transcript into one class label per ball (union-find over the
+"equal" records, every ball compressed to its final root) and a set of
+conflicts, each "unequal" record stored as the ordered pair of the two
+labels it separates.  Two balls are *provably unequal* only when their
+labels form a recorded conflict pair.  No multi-edge inference is performed
+here: reasoning like "x differs from two balls that differ from each other,
+so..." belongs to adversary-style arguments over binary alphabets, not to
+an auditor that must stay sound for arbitrary alphabets.
 
 A majority claim is accepted when the witness's class has exactly the claimed
 size, the size clears n/2, and every other class conflicts with the witness's
 class.  A no-majority claim is accepted from a Certificate: disjoint provably
-unequal pairs (plus, for odd n, one mutually-unequal triangle) and, when the
-pairs do not cover everything, counting conditions around an optional
-candidate class.
+unequal units (pairs plus, for odd n, one mutually-unequal triangle) and,
+when the units do not cover everything, counting conditions around an
+optional candidate class.
 """
 
 from __future__ import annotations
@@ -52,77 +53,87 @@ class CheckResult:
         return self.accepted
 
 
+@dataclass(frozen=True)
 class EqStructure:
-    """Union-find over balls 1..n plus class-level conflict edges."""
+    """A transcript frozen into class labels and conflicting label pairs.
 
-    def __init__(self, n: int):
-        self.n = n
-        self._parent = list(range(n + 1))  # index 0 unused
-        self._size = [1] * (n + 1)
-        self._conflicts: set[frozenset[int]] = set()
+    ``label[x]`` names the equality class of ball x (index 0 unused); a
+    label is one ball of its class.  ``size[l]`` is the size of the class
+    labelled l.  ``conflicts`` holds each unequal record as the label pair
+    (min, max) of the two classes it separates.
+    """
 
-    def root(self, x: int) -> int:
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def _union(self, x: int, y: int) -> None:
-        rx, ry = self.root(x), self.root(y)
-        if rx == ry:
-            return
-        if self._size[rx] < self._size[ry]:
-            rx, ry = ry, rx
-        self._parent[ry] = rx
-        self._size[rx] += self._size[ry]
+    n: int
+    label: list[int]
+    size: list[int]
+    conflicts: set[tuple[int, int]]
 
     def same_class(self, x: int, y: int) -> bool:
-        return self.root(x) == self.root(y)
+        return self.label[x] == self.label[y]
 
     def provably_unequal(self, x: int, y: int) -> bool:
-        rx, ry = self.root(x), self.root(y)
-        return rx != ry and frozenset((rx, ry)) in self._conflicts
+        lx, ly = self.label[x], self.label[y]
+        return ((lx, ly) if lx < ly else (ly, lx)) in self.conflicts
 
     def class_size(self, x: int) -> int:
-        return self._size[self.root(x)]
+        return self.size[self.label[x]]
 
     def class_roots(self) -> list[int]:
-        return [b for b in range(1, self.n + 1) if self.root(b) == b]
+        return [b for b in range(1, self.n + 1) if self.label[b] == b]
 
     def conflict_roots_of(self, x: int) -> set[int]:
-        rx = self.root(x)
-        out = set()
-        for edge in self._conflicts:
-            if rx in edge:
-                other = next(iter(edge - {rx}), rx)
-                out.add(other)
-        return out
+        lx = self.label[x]
+        return {b if a == lx else a for a, b in self.conflicts if lx in (a, b)}
 
 
 def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStructure:
-    """Replay a transcript into classes and conflicts.
+    """Replay a transcript into class labels and conflicts.
 
-    Equalities are applied first so that a later equality can never silently
-    invalidate an already-registered conflict: if any unequal record ends up
-    inside one class, the transcript is contradictory and we raise.
+    Equalities are applied first (union by size, path halving), then every
+    ball is compressed to its final root, which becomes its label.  Only
+    then are the unequal records keyed, so a later equality can never
+    silently invalidate an already-registered conflict: if any unequal
+    record ends up inside one class, the transcript is contradictory and
+    we raise.
     """
-    eq = EqStructure(n)
     records = list(transcript)
+    parent = list(range(n + 1))  # index 0 unused
+    size = [1] * (n + 1)
     for rec in records:
-        if not (1 <= rec.left <= n and 1 <= rec.right <= n):
+        x, y, equal = rec
+        if not (1 <= x <= n and 1 <= y <= n):
             raise ValueError(f"transcript references ball out of range: {rec}")
-        if rec.equal:
-            eq._union(rec.left, rec.right)
-    for rec in records:
-        if not rec.equal:
-            rx, ry = eq.root(rec.left), eq.root(rec.right)
-            if rx == ry:
-                raise InconsistentTranscript(
-                    f"balls {rec.left} and {rec.right} are both equal and unequal"
-                )
-            eq._conflicts.add(frozenset((rx, ry)))
-    return eq
+        if not equal:
+            continue
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x == y:
+            continue
+        if size[x] < size[y]:
+            x, y = y, x
+        parent[y] = x
+        size[x] += size[y]
+
+    for b in range(1, n + 1):
+        root = parent[b]
+        while parent[root] != root:
+            root = parent[root]
+        parent[b] = root
+    label = parent
+
+    conflicts: set[tuple[int, int]] = set()
+    for left, right, equal in records:
+        if equal:
+            continue
+        a, b = label[left], label[right]
+        if a == b:
+            raise InconsistentTranscript(f"balls {left} and {right} are both equal and unequal")
+        conflicts.add((a, b) if a < b else (b, a))
+    return EqStructure(n, label, size, conflicts)
 
 
 # ----------------------------------------------------------------------
@@ -140,100 +151,81 @@ def check_majority_claim(eq: EqStructure, answer: Answer, n: int) -> CheckResult
     mult = answer.multiplicity
     if mult is None or mult <= n // 2:
         return CheckResult(False, f"claimed multiplicity {mult} does not clear {n // 2}")
-    if eq.class_size(v) != mult:
-        return CheckResult(
-            False,
-            f"witness class has {eq.class_size(v)} proven members, claim says {mult}",
-        )
-    rv = eq.root(v)
-    conflicts = eq.conflict_roots_of(v)
+    proven = eq.class_size(v)
+    if proven != mult:
+        return CheckResult(False, f"witness class has {proven} proven members, claim says {mult}")
+    lv = eq.label[v]
+    rivals = eq.conflict_roots_of(v)
     for r in eq.class_roots():
-        if r != rv and r not in conflicts:
+        if r != lv and r not in rivals:
             return CheckResult(False, f"class of ball {r} is not proven unequal to witness")
     return CheckResult(True)
 
 
 def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> CheckResult:
-    """Accept iff the certificate proves every color is capped at n//2."""
+    """Accept iff the certificate proves every color is capped at n//2.
+
+    Each unit (a pair, or the triangle) must lie in range, share no ball
+    with another unit and be provably unequal in every pair of its balls,
+    so it holds at most one ball of any color.
+    """
     half = n // 2
-    covered: set[int] = set()
-
-    for a, b in cert.pairs:
-        for ball in (a, b):
-            if not 1 <= ball <= n:
-                return CheckResult(False, f"pair ball {ball} out of range")
-            if ball in covered:
-                return CheckResult(False, f"ball {ball} covered twice")
-            covered.add(ball)
-        if not eq.provably_unequal(a, b):
-            return CheckResult(False, f"pair ({a}, {b}) is not provably unequal")
-
+    units: list[tuple[int, ...]] = list(cert.pairs)
     if cert.triangle is not None:
-        t = cert.triangle
-        for ball in t:
+        units.append(cert.triangle)
+    covered: set[int] = set()
+    for unit in units:
+        for i, ball in enumerate(unit):
             if not 1 <= ball <= n:
-                return CheckResult(False, f"triangle ball {ball} out of range")
+                return CheckResult(False, f"ball {ball} of unit {unit} out of range")
             if ball in covered:
                 return CheckResult(False, f"ball {ball} covered twice")
             covered.add(ball)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not eq.provably_unequal(t[i], t[j]):
+            for other in unit[:i]:
+                if not eq.provably_unequal(other, ball):
                     return CheckResult(
-                        False, f"triangle edge ({t[i]}, {t[j]}) is not provably unequal"
+                        False, f"({other}, {ball}) of unit {unit} is not provably unequal"
                     )
-
-    units = cert.units()
     uncovered = [b for b in range(1, n + 1) if b not in covered]
 
     if cert.candidate is None:
         # Pure matching certificate: every color hits each unit at most once
         # and may own every uncovered ball.
-        if units + len(uncovered) > half:
+        if len(units) + len(uncovered) > half:
             return CheckResult(
                 False,
-                f"{units} units + {len(uncovered)} uncovered exceeds {half}",
+                f"{len(units)} units + {len(uncovered)} uncovered exceeds {half}",
             )
         return CheckResult(True)
 
     v = cert.candidate
     if not 1 <= v <= n:
         return CheckResult(False, f"candidate {v} out of range")
-    rv = eq.root(v)
-    conflict_roots = eq.conflict_roots_of(v)
-
-    def in_class(ball: int) -> bool:
-        return eq.root(ball) == rv
-
-    def unequal_to_v(ball: int) -> bool:
-        return eq.root(ball) in conflict_roots
+    label = eq.label
+    lv = label[v]
+    rivals = eq.conflict_roots_of(v)  # labels of classes proven unequal to v's
 
     # (a) caps every color other than the candidate's: one per unit, plus
     # any uncovered ball not pinned to the candidate class.
-    uncovered_not_class = sum(1 for b in uncovered if not in_class(b))
-    if units + uncovered_not_class > half:
+    loose = sum(1 for b in uncovered if label[b] != lv)
+    if len(units) + loose > half:
         return CheckResult(
-            False,
-            f"non-candidate bound fails: {units} units + {uncovered_not_class} loose",
+            False, f"non-candidate bound fails: {len(units)} units + {loose} loose"
         )
 
     # (b) caps the candidate's color: proven class members, plus units that
     # might be hiding one more, plus unresolved uncovered balls.
     class_size = eq.class_size(v)
-    unit_groups: list[tuple[int, ...]] = list(cert.pairs)
-    if cert.triangle is not None:
-        unit_groups.append(cert.triangle)
-    suspicious_units = 0
-    for group in unit_groups:
-        if any(in_class(b) for b in group):
-            continue
-        if any(not unequal_to_v(b) for b in group):
-            suspicious_units += 1
-    unresolved = sum(1 for b in uncovered if not in_class(b) and not unequal_to_v(b))
-    if class_size + suspicious_units + unresolved > half:
+    suspicious = 0
+    for unit in units:
+        labels = {label[b] for b in unit}
+        if lv not in labels and not labels <= rivals:
+            suspicious += 1
+    unresolved = sum(1 for b in uncovered if label[b] != lv and label[b] not in rivals)
+    if class_size + suspicious + unresolved > half:
         return CheckResult(
             False,
-            f"candidate bound fails: {class_size} proven + {suspicious_units} units"
+            f"candidate bound fails: {class_size} proven + {suspicious} units"
             f" + {unresolved} unresolved exceeds {half}",
         )
     return CheckResult(True)

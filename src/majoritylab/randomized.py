@@ -146,14 +146,13 @@ def estimate_frequencies(oracle: CountingOracle, sample: Sequence[int]) -> Sampl
 class _Run:
     """Mutable state threaded through one driver invocation."""
 
-    __slots__ = ("oracle", "params", "rng", "levels", "trace", "_np_gen")
+    __slots__ = ("oracle", "params", "rng", "levels", "_np_gen")
 
     def __init__(self, oracle: CountingOracle, params: Params, rng: RandomStream):
         self.oracle = oracle
         self.params = params
         self.rng = rng
         self.levels: list[LevelStats] = []
-        self.trace: list[str] = []
         self._np_gen = None
 
     def permuted(self, balls: list[int]) -> list[int]:
@@ -353,7 +352,6 @@ def _balanced(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
     m = len(balls)
     lv = LevelStats("balanced", m)
     run.levels.append(lv)
-    run.trace.append("balanced")
     oracle = run.oracle
 
     start = oracle.comparisons
@@ -397,7 +395,6 @@ def _heavy(run: _Run, balls: list[int], candidate: int) -> tuple[Answer, Certifi
     m = len(balls)
     lv = LevelStats("heavy", m)
     run.levels.append(lv)
-    run.trace.append("heavy")
     oracle = run.oracle
     if candidate not in set(balls):
         raise ValueError("heavy candidate must be one of the balls")
@@ -448,7 +445,6 @@ def _heavy(run: _Run, balls: list[int], candidate: int) -> tuple[Answer, Certifi
         start = oracle.comparisons
         answer, cert = boyer_moore(oracle, balls)
         lv.fallback_comparisons = oracle.comparisons - start
-        run.trace.append("fallback")
         return answer, cert
 
     in_pair = {b for pair in found for b in pair}
@@ -466,7 +462,6 @@ def _heavy(run: _Run, balls: list[int], candidate: int) -> tuple[Answer, Certifi
 def _base(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
     lv = LevelStats("base", len(balls))
     run.levels.append(lv)
-    run.trace.append("base")
     start = run.oracle.comparisons
     answer, cert = boyer_moore(run.oracle, balls)
     lv.scan_comparisons = run.oracle.comparisons - start
@@ -474,15 +469,20 @@ def _base(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
 
 
 def _solve(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
-    m = len(balls)
-    if m == 1:
-        lv = LevelStats("base", 1)
-        run.levels.append(lv)
-        run.trace.append("base")
-        return Answer.majority(balls[0], 1), None
-    if m <= run.params.cutoff:
+    if len(balls) <= run.params.cutoff:
         return _base(run, balls)
     return _balanced(run, balls)
+
+
+def _branch_trace(levels: list[LevelStats]) -> tuple[str, ...]:
+    """Each level's branch, followed by "fallback" where it reran
+    boyer_moore (always on two or more balls, so at a nonzero cost)."""
+    trace: list[str] = []
+    for lv in levels:
+        trace.append(lv.branch)
+        if lv.fallback_comparisons > 0:
+            trace.append("fallback")
+    return tuple(trace)
 
 
 def _drive(
@@ -520,7 +520,7 @@ def _drive(
     stats = RunStats(
         comparisons=used,
         depth=len(run.levels),
-        branch_trace=tuple(run.trace),
+        branch_trace=_branch_trace(run.levels),
         levels=tuple(run.levels),
     )
     return answer, cert, stats

@@ -1,4 +1,11 @@
-"""Pytest configuration: surface the acceptance report after the run."""
+"""Pytest configuration: rewrite the helper modules' asserts, and surface
+the acceptance report after the run."""
+
+import pytest
+
+# Rewritten asserts are explicit raises, so the helpers' checks still run
+# under ``python -O``.  Must happen before any test module imports them.
+pytest.register_assert_rewrite("support", "statsuites", "predictors")
 
 ACCEPTANCE_REPORT: list[str] = []
 
