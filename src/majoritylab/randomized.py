@@ -474,17 +474,6 @@ def _solve(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
     return _balanced(run, balls)
 
 
-def _branch_trace(levels: list[LevelStats]) -> tuple[str, ...]:
-    """Each level's branch, followed by "fallback" where it reran
-    boyer_moore (always on two or more balls, so at a nonzero cost)."""
-    trace: list[str] = []
-    for lv in levels:
-        trace.append(lv.branch)
-        if lv.fallback_comparisons > 0:
-            trace.append("fallback")
-    return tuple(trace)
-
-
 def _drive(
     oracle: CountingOracle,
     balls: Sequence[int] | None,
@@ -517,10 +506,16 @@ def _drive(
         raise ContractViolation(f"comparison cap breached: {used} > {cap}")
     if len(run.levels) > math.log2(max(2, m)) + 1:
         raise ContractViolation(f"recursion too deep: {len(run.levels)} levels")
+    trace: list[str] = []
+    for lv in run.levels:
+        trace.append(lv.branch)
+        # A fallback reruns boyer_moore on two or more balls, so it always costs.
+        if lv.fallback_comparisons > 0:
+            trace.append("fallback")
     stats = RunStats(
         comparisons=used,
         depth=len(run.levels),
-        branch_trace=_branch_trace(run.levels),
+        branch_trace=tuple(trace),
         levels=tuple(run.levels),
     )
     return answer, cert, stats

@@ -169,6 +169,14 @@ def test_no_majority_triangle_certificate():
     assert not check_no_majority_claim(eq2, cert, 3).accepted
 
 
+def test_no_majority_checks_every_ball_of_a_unit():
+    # A four-ball "triangle" whose fourth ball was never compared is not one
+    # unit: colors 1 2 3 1 1 fit this transcript and have a majority.
+    eq = build_eq_structure(5, [rec(1, 2, False), rec(1, 3, False), rec(2, 3, False)])
+    res = check_no_majority_claim(eq, Certificate(triangle=(1, 2, 3, 4)), 5)
+    assert not res.accepted and "not provably unequal" in res.reason
+
+
 def test_no_majority_candidate_certificate():
     # Colors 1 2 3 2 1.  Candidate 1's class is pinned to {1, 5}; both pairs
     # are proven unequal and every pair member is resolved against the
