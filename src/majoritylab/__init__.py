@@ -25,6 +25,7 @@ from .core import (
     CountingOracle,
     DistributionSpec,
     Instance,
+    Transcript,
     generate,
     parse_distribution,
     read_instance,
@@ -76,6 +77,7 @@ __all__ = [
     "CountingOracle",
     "DistributionSpec",
     "Instance",
+    "Transcript",
     "generate",
     "parse_distribution",
     "read_instance",

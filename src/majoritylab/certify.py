@@ -24,8 +24,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .answers import Answer, Certificate
-from .core import ComparisonRecord, Instance
+from .core import ComparisonRecord, Instance, Transcript
 
 __all__ = [
     "InconsistentTranscript",
@@ -86,6 +88,14 @@ class EqStructure:
         return {b if a == lx else a for a, b in self.conflicts if lx in (a, b)}
 
 
+def _columns(transcript: Iterable[ComparisonRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, equal) arrays of a Transcript or of any record iterable."""
+    if isinstance(transcript, Transcript):
+        return transcript.columns()
+    table = np.array([tuple(rec) for rec in transcript], dtype=np.int64).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2] != 0
+
+
 def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStructure:
     """Replay a transcript into class labels and conflicts.
 
@@ -94,17 +104,17 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
     then are the unequal records keyed, so a later equality can never
     silently invalidate an already-registered conflict: if any unequal
     record ends up inside one class, the transcript is contradictory and
-    we raise.
+    we raise.  The records are read as columns, never one object each.
     """
-    records = list(transcript)
+    left, right, equal = _columns(transcript)
+    if len(left) and (min(left.min(), right.min()) < 1 or max(left.max(), right.max()) > n):
+        i = np.flatnonzero((left < 1) | (left > n) | (right < 1) | (right > n))[0]
+        rec = ComparisonRecord(int(left[i]), int(right[i]), bool(equal[i]))
+        raise ValueError(f"transcript references ball out of range: {rec}")
+
     parent = list(range(n + 1))  # index 0 unused
     size = [1] * (n + 1)
-    for rec in records:
-        x, y, equal = rec
-        if not (1 <= x <= n and 1 <= y <= n):
-            raise ValueError(f"transcript references ball out of range: {rec}")
-        if not equal:
-            continue
+    for x, y in zip(left[equal].tolist(), right[equal].tolist()):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -125,14 +135,16 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
         parent[b] = root
     label = parent
 
-    conflicts: set[tuple[int, int]] = set()
-    for left, right, equal in records:
-        if equal:
-            continue
-        a, b = label[left], label[right]
-        if a == b:
-            raise InconsistentTranscript(f"balls {left} and {right} are both equal and unequal")
-        conflicts.add((a, b) if a < b else (b, a))
+    labels = np.array(label, dtype=np.int64)
+    unequal = ~equal
+    a, b = labels[left[unequal]], labels[right[unequal]]
+    clash = a == b
+    if clash.any():
+        i = np.flatnonzero(clash)[0]
+        raise InconsistentTranscript(
+            f"balls {left[unequal][i]} and {right[unequal][i]} are both equal and unequal"
+        )
+    conflicts = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
     return EqStructure(n, label, size, conflicts)
 
 
@@ -233,7 +245,7 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
 
 def verify_run(
     n: int,
-    transcript: Sequence[ComparisonRecord],
+    transcript: Iterable[ComparisonRecord],
     answer: Answer,
     certificate: Certificate | None,
 ) -> CheckResult:

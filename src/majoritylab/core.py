@@ -1,16 +1,18 @@
 """Instances, the counting comparison oracle, and instance generators.
 
 An instance is n colored balls, identified by the indices 1..n.  Algorithms
-never see colors; the only way to learn anything is CountingOracle.cmp(x, y),
-which answers "same color?" and bills one comparison for every call.  The
-oracle can optionally record a transcript of (x, y, equal) triples, which is
-what the certificate auditing in `certify` consumes.
+never see colors; they learn about them only through CountingOracle, which
+answers "same color?" one pair at a time (``cmp``) or for a whole batch of
+pairs (``cmp_many``) and bills one comparison for every pair it answers.
+The oracle can optionally record a transcript of (x, y, equal) triples,
+which is what the certificate auditing in `certify` consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .rng import RandomStream
 __all__ = [
     "Instance",
     "ComparisonRecord",
+    "Transcript",
     "CountingOracle",
     "DistributionSpec",
     "parse_distribution",
@@ -36,7 +39,7 @@ class Instance:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.colors):
+        if self.colors and min(self.colors) < 0:
             raise ValueError("color ids must be unsigned")
 
     @property
@@ -47,6 +50,29 @@ class Instance:
         """Color of a 1-based ball index. Test/generator privilege only."""
         return self.colors[ball - 1]
 
+    @cached_property
+    def color_array(self) -> np.ndarray:
+        """The colors as a read-only int64 array, for batched comparisons.
+
+        Colors too large for int64 are replaced by dense ids in order of
+        first appearance, which keeps every equality and nothing else.
+        """
+        try:
+            ids = np.array(self.colors, dtype=np.int64)
+        except OverflowError:
+            dense: dict[int, int] = {}
+            ids = np.array([dense.setdefault(c, len(dense)) for c in self.colors], dtype=np.int64)
+        ids.flags.writeable = False
+        return ids
+
+
+def _instance_of(ids: np.ndarray) -> Instance:
+    """An Instance over an int64 color array, which it keeps as color_array."""
+    instance = Instance(tuple(ids.tolist()))
+    ids.flags.writeable = False
+    instance.__dict__["color_array"] = ids  # the slot cached_property fills
+    return instance
+
 
 class ComparisonRecord(NamedTuple):
     left: int
@@ -54,12 +80,55 @@ class ComparisonRecord(NamedTuple):
     equal: bool
 
 
+class Transcript:
+    """The comparisons an oracle answered, in call order, stored as columns.
+
+    Batches are kept as array chunks.  Scalar comparisons accumulate in one
+    flat list of (left, right, equal) triples that becomes a chunk when the
+    next batch arrives or the columns are read, so call order is preserved.
+    Iterating yields ComparisonRecords; ``columns`` yields the arrays.
+    """
+
+    __slots__ = ("_chunks", "_pending")
+
+    def __init__(self):
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._pending: list[int] = []
+
+    def _flush(self) -> None:
+        if self._pending:
+            flat = np.array(self._pending, dtype=np.int64).reshape(-1, 3)
+            self._chunks.append((flat[:, 0], flat[:, 1], flat[:, 2].astype(bool)))
+            self._pending = []
+
+    def _add_batch(self, left: np.ndarray, right: np.ndarray, equal: np.ndarray) -> None:
+        self._flush()
+        self._chunks.append((left, right, equal))
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(left, right, equal) over every record: int64, int64, bool."""
+        self._flush()
+        if not self._chunks:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, np.zeros(0, dtype=bool)
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(np.concatenate(col) for col in zip(*self._chunks))]
+        return self._chunks[0]
+
+    def __len__(self) -> int:
+        return sum(len(chunk[0]) for chunk in self._chunks) + len(self._pending) // 3
+
+    def __iter__(self) -> Iterator[ComparisonRecord]:
+        left, right, equal = self.columns()
+        return map(ComparisonRecord._make, zip(left.tolist(), right.tolist(), equal.tolist()))
+
+
 class CountingOracle:
     """Comparison oracle over one instance.
 
-    Counts every call, including repeated and self-comparisons: the cost
-    model charges for asking, not for learning something new, so there is
-    deliberately no memoization.  cmp(x, x) returns True and costs 1.
+    Counts every comparison, including repeated and self-comparisons: the
+    cost model charges for asking, not for learning something new, so there
+    is deliberately no memoization.  cmp(x, x) returns True and costs 1.
     """
 
     __slots__ = ("instance", "_colors", "_n", "comparisons", "_transcript")
@@ -69,9 +138,7 @@ class CountingOracle:
         self._colors = instance.colors
         self._n = len(instance.colors)
         self.comparisons = 0
-        self._transcript: list[ComparisonRecord] | None = (
-            [] if record_transcript else None
-        )
+        self._transcript: Transcript | None = Transcript() if record_transcript else None
 
     def cmp(self, x: int, y: int) -> bool:
         if not (1 <= x <= self._n and 1 <= y <= self._n):
@@ -79,7 +146,39 @@ class CountingOracle:
         self.comparisons += 1
         equal = self._colors[x - 1] == self._colors[y - 1]
         if self._transcript is not None:
-            self._transcript.append(ComparisonRecord(x, y, equal))
+            self._transcript._pending.extend((x, y, equal))
+        return equal
+
+    def cmp_many(self, xs: int | np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Compare xs[i] with ys[i] for every i; xs may be a single ball.
+
+        Bills len(ys) comparisons and returns the answers as a bool array.
+        The whole batch is range-checked first: a bad index raises
+        IndexError before anything is billed or recorded.
+        """
+        ys = np.asarray(ys, dtype=np.int64)
+        single = np.ndim(xs) == 0
+        if not single:
+            xs = np.asarray(xs, dtype=np.int64)
+            if xs.shape != ys.shape:
+                raise ValueError(f"cmp_many: {xs.shape} left balls against {ys.shape} right")
+        if not len(ys):
+            return np.zeros(0, dtype=bool)
+        n = self._n
+        # Shifted to 0-based and viewed as unsigned, an index below 1 wraps
+        # past n, so one max per side checks both ends of the range.
+        ix, iy = xs - 1, ys - 1
+        if iy.view(np.uint64).max() >= n or (
+            not 0 <= ix < n if single else ix.view(np.uint64).max() >= n
+        ):
+            bad = [b for b in np.append(xs, ys).tolist() if not 1 <= b <= n]
+            raise IndexError(f"ball index out of range: cmp_many got {bad[0]} with n={n}")
+        ids = self.instance.color_array
+        equal = ids[iy] == ids[ix]
+        self.comparisons += len(ys)
+        if self._transcript is not None:
+            left = np.full(len(ys), xs, dtype=np.int64) if single else xs.copy()
+            self._transcript._add_batch(left, ys.copy(), equal)
         return equal
 
     @property
@@ -87,7 +186,7 @@ class CountingOracle:
         return self._transcript is not None
 
     @property
-    def transcript(self) -> list[ComparisonRecord]:
+    def transcript(self) -> Transcript:
         if self._transcript is None:
             raise ValueError("transcript recording was not enabled")
         return self._transcript
@@ -226,16 +325,16 @@ def generate(spec: DistributionSpec | str, n: int, rng: RandomStream) -> Instanc
         raise ValueError("n must be nonnegative")
 
     if spec.kind == "distinct":
-        return Instance(tuple(range(1, n + 1)))
+        return _instance_of(np.arange(1, n + 1, dtype=np.int64))
 
     if spec.kind == "binary":
         draws = rng.numpy_child().random(n)
-        return Instance(tuple(np.where(draws < spec.p, 1, 2).tolist()))
+        return _instance_of(np.where(draws < spec.p, 1, 2).astype(np.int64))
 
     if spec.kind == "uniform":
         k = spec.k if spec.k is not None else max(n, 1)
-        draws = rng.numpy_child().integers(1, k + 1, size=n)
-        return Instance(tuple(draws.tolist()))
+        draws = rng.numpy_child().integers(1, k + 1, size=n, dtype=np.int64)
+        return _instance_of(draws)
 
     if spec.kind == "profile":
         if spec.counts:
@@ -248,9 +347,9 @@ def generate(spec: DistributionSpec | str, n: int, rng: RandomStream) -> Instanc
                 remainder = max(0.0, 1.0 - sum(fractions))
                 fractions += [remainder / spec.rest_colors] * spec.rest_colors
             counts = _rounded_counts(fractions, n)
-        colors = np.repeat(np.arange(1, len(counts) + 1), counts)
+        colors = np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64), counts)
         order = rng.numpy_child().permutation(n)
-        return Instance(tuple(colors[order].tolist()))
+        return _instance_of(colors[order])
 
     raise ValueError(f"unknown distribution kind {spec.kind!r}")
 

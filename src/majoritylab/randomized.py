@@ -12,6 +12,12 @@ it, and when it falls short, finish the no-majority certificate by pairing
 off the rest.  ``estimate_frequencies`` is the sampler a dispatching level
 would build on.
 
+Balls travel between levels as int64 arrays.  The pairing, the deficit
+scan and heavy's census and pair scan ask the oracle in batches
+(``CountingOracle.cmp_many``), chunked so that no batch runs past the
+point where the pair-by-pair scan would stop: the comparisons billed are
+exactly the pair-by-pair ones.
+
 Every path is Las Vegas: answers are always exact, randomness moves only
 the comparison count.  No-majority answers carry a certificate that an
 independent checker can validate against the comparison transcript alone.
@@ -155,7 +161,7 @@ class _Run:
         self.levels: list[LevelStats] = []
         self._np_gen = None
 
-    def permuted(self, balls: list[int]) -> list[int]:
+    def permuted(self, balls: np.ndarray) -> np.ndarray:
         """Uniform permutation; vectorized because runs shuffle millions.
 
         The generator is seeded once per run by consuming scalar draws, so
@@ -163,36 +169,33 @@ class _Run:
         """
         if self._np_gen is None:
             self._np_gen = self.rng.numpy_child()
-        arr = np.fromiter(balls, dtype=np.int64, count=len(balls))
-        return arr[self._np_gen.permutation(len(balls))].tolist()
+        return balls[self._np_gen.permutation(len(balls))]
 
 
-def _pair_up(run: _Run, balls: list[int]):
+def _pairs(firsts: np.ndarray, seconds: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(firsts.tolist(), seconds.tolist()))
+
+
+def _pair_up(run: _Run, balls: np.ndarray):
     """Shuffle and compare disjoint pairs; exactly len(balls)//2 comparisons.
 
-    Returns (survivors, partner, unequal_pairs, leftover).  The second ball
-    of each equal pair survives; ``partner`` maps it back to the first, which
-    is what certificate lifting needs to undouble the survivor set.
+    Returns (survivors, mates, unequal, leftover).  The second ball of each
+    equal pair survives and ``mates`` holds the first, which is what
+    certificate lifting needs to undouble the survivor set; ``unequal`` is
+    the (firsts, seconds) columns of the unequal pairs.
     """
     order = run.permuted(balls)
-    survivors: list[int] = []
-    partner: dict[int, int] = {}
-    unequal: list[tuple[int, int]] = []
-    for i in range(0, len(order) - 1, 2):
-        a, b = order[i], order[i + 1]
-        if run.oracle.cmp(a, b):
-            survivors.append(b)
-            partner[b] = a
-        else:
-            unequal.append((a, b))
-    leftover = order[-1] if len(order) % 2 else None
-    return survivors, partner, unequal, leftover
+    half = len(order) // 2
+    firsts, seconds = order[0 : 2 * half : 2], order[1 : 2 * half : 2]
+    equal = run.oracle.cmp_many(firsts, seconds)
+    leftover = int(order[-1]) if len(order) % 2 else None
+    return seconds[equal], firsts[equal], (firsts[~equal], seconds[~equal]), leftover
 
 
 def _resolve_leftover(
     run: _Run,
     lv: LevelStats,
-    balls: list[int],
+    balls: np.ndarray,
     leftover: int,
     cert: Certificate,
     m: int,
@@ -216,9 +219,10 @@ def _resolve_leftover(
     klass = {leftover}
     excluded: set[int] = set()
     covered = set(cert.covered_balls())
-    uncovered = [
-        b for b in balls if b != leftover and b != cert.candidate and b not in covered
-    ]
+    keep = (balls != leftover) & ~np.isin(balls, list(covered))
+    if cert.candidate is not None:
+        keep &= balls != cert.candidate
+    uncovered = balls[keep].tolist()
     potential = 1 + len(cert.pairs) + len(uncovered)
     if cert.candidate is not None:
         # Resolving leftover-versus-candidate up front keeps the candidate's
@@ -324,30 +328,66 @@ def _lift_certificate(cert: Certificate, partner: dict[int, int]) -> Certificate
 def _finish_no_majority(
     run: _Run,
     lv: LevelStats,
-    balls: list[int],
+    balls: np.ndarray,
     sub_cert: Certificate,
-    partner: dict[int, int],
-    unequal: list[tuple[int, int]],
+    survivors: np.ndarray,
+    mates: np.ndarray,
+    unequal: tuple[np.ndarray, np.ndarray],
     leftover: int | None,
-    m: int,
 ) -> tuple[Answer, Certificate | None]:
     """Lift a survivor-level certificate back to the full level."""
-    lifted = _lift_certificate(sub_cert, partner)
-    cert = Certificate(pairs=tuple(unequal) + lifted.pairs, candidate=lifted.candidate)
+    lifted = _lift_certificate(sub_cert, dict(zip(survivors.tolist(), mates.tolist())))
+    cert = Certificate(pairs=_pairs(*unequal) + lifted.pairs, candidate=lifted.candidate)
     if leftover is None:
         return Answer.no_majority(), cert
-    return _resolve_leftover(run, lv, balls, leftover, cert, m)
+    return _resolve_leftover(run, lv, balls, leftover, cert, len(balls))
 
 
-def _balanced(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
+# Below this many pairs a chunk costs more in batch overhead (two numpy
+# round trips, about 20 us on a 2-vCPU VM) than the ~0.8 us per pair of the
+# scalar cmp, so the scans finish pair by pair.  A chunk never grows, so
+# once a scan drops below it, it stays there.
+_MIN_BATCH = 32
+
+
+def _deficit_scan(
+    oracle: CountingOracle, v: int, cnt: int, unequal: tuple[np.ndarray, np.ndarray], m: int
+) -> tuple[Answer, Certificate | None]:
+    """Settle a level's candidate v against its unequal pairs.
+
+    ``cnt`` is v's class size minus m//2 if every unprobed pair held one
+    more of it, so a pair that misses v twice lowers it by one, and the
+    scan stops as soon as it hits zero, where no-majority is already
+    forced.  The pairs go in chunks of at most ``cnt``: v against every
+    first ball, then against the second ball where the first missed.  cnt
+    drops by at most one per pair, so it can reach zero only on a chunk's
+    last pair, and every comparison billed is one the pair-by-pair scan
+    makes too.  Once cnt is below _MIN_BATCH the rest goes pair by pair.
+    """
+    firsts, seconds = unequal
+    i = 0
+    while cnt >= _MIN_BATCH and i < len(firsts):
+        k = min(cnt, len(firsts) - i)
+        missed = ~oracle.cmp_many(v, firsts[i : i + k])
+        second = oracle.cmp_many(v, seconds[i : i + k][missed])
+        cnt -= len(second) - int(np.count_nonzero(second))
+        i += k
+    for a, b in zip(firsts[i:].tolist(), seconds[i:].tolist()):
+        if cnt == 0:
+            break
+        if not oracle.cmp(v, a) and not oracle.cmp(v, b):
+            cnt -= 1
+    if cnt == 0:
+        return Answer.no_majority(), Certificate(pairs=_pairs(*unequal), candidate=v)
+    return Answer.majority(v, m // 2 + cnt), None
+
+
+def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
     """One pairing level: pair, recurse on the survivors, settle the verdict.
 
     A no-majority verdict below is lifted through the pairs.  A survivor
     majority v is checked against the leftover, then against the unequal
-    pairs with a deficit count: ``cnt`` is v's class size minus m//2 if
-    every unprobed pair held one more of it, so a pair that misses v twice
-    lowers it by one, and the scan stops as soon as it hits zero, where
-    no-majority is already forced.
+    pairs with the deficit scan.
     """
     m = len(balls)
     lv = LevelStats("balanced", m)
@@ -355,12 +395,12 @@ def _balanced(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
     oracle = run.oracle
 
     start = oracle.comparisons
-    survivors, partner, unequal, leftover = _pair_up(run, balls)
+    survivors, mates, unequal, leftover = _pair_up(run, balls)
     lv.pairing_comparisons = oracle.comparisons - start
     lv.x_size = len(survivors)
-    lv.y_pairs = len(unequal)
+    lv.y_pairs = len(unequal[0])
 
-    if survivors:
+    if len(survivors):
         sub_answer, sub_cert = _solve(run, survivors)
     else:
         sub_answer, sub_cert = Answer.no_majority(), Certificate()
@@ -368,7 +408,9 @@ def _balanced(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
     if not sub_answer.is_majority:
         if sub_cert is None:
             raise ContractViolation("no-majority answer without a certificate")
-        return _finish_no_majority(run, lv, balls, sub_cert, partner, unequal, leftover, m)
+        return _finish_no_majority(
+            run, lv, balls, sub_cert, survivors, mates, unequal, leftover
+        )
 
     v = sub_answer.witness
     cnt = 2 * sub_answer.multiplicity - len(survivors)
@@ -381,36 +423,52 @@ def _balanced(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
         lv.leftover_comparisons = oracle.comparisons - start
 
     start = oracle.comparisons
-    for a, b in unequal:
-        if not oracle.cmp(v, a) and not oracle.cmp(v, b):
-            cnt -= 1
-            if cnt == 0:
-                lv.scan_comparisons = oracle.comparisons - start
-                return Answer.no_majority(), Certificate(pairs=tuple(unequal), candidate=v)
+    verdict = _deficit_scan(oracle, v, cnt, unequal, m)
     lv.scan_comparisons = oracle.comparisons - start
-    return Answer.majority(v, m // 2 + cnt), None
+    return verdict
 
 
-def _heavy(run: _Run, balls: list[int], candidate: int) -> tuple[Answer, Certificate | None]:
+def _unequal_pairs(
+    oracle: CountingOracle, order: np.ndarray, need: int
+) -> list[tuple[int, int]]:
+    """Compare the disjoint pairs of ``order`` until ``need`` are unequal.
+
+    Returns the unequal pairs found, fewer than ``need`` only when the
+    pairs run out.  The pairs go in chunks of ``need`` minus the number
+    found, so the scan never passes the pair that completes the count;
+    below _MIN_BATCH still needed, the rest goes pair by pair.
+    """
+    half = len(order) // 2
+    firsts, seconds = order[0 : 2 * half : 2], order[1 : 2 * half : 2]
+    found: list[tuple[int, int]] = []
+    i = 0
+    while need - len(found) >= _MIN_BATCH and i < half:
+        k = min(need - len(found), half - i)
+        a, b = firsts[i : i + k], seconds[i : i + k]
+        unequal = ~oracle.cmp_many(a, b)
+        found += _pairs(a[unequal], b[unequal])
+        i += k
+    for a, b in zip(firsts[i:].tolist(), seconds[i:].tolist()):
+        if len(found) == need:
+            break
+        if not oracle.cmp(a, b):
+            found.append((a, b))
+    return found
+
+
+def _heavy(run: _Run, balls: np.ndarray, candidate: int) -> tuple[Answer, Certificate | None]:
     m = len(balls)
     lv = LevelStats("heavy", m)
     run.levels.append(lv)
     oracle = run.oracle
-    if candidate not in set(balls):
+    if not (balls == candidate).any():
         raise ValueError("heavy candidate must be one of the balls")
 
     start = oracle.comparisons
-    cnt = 1
-    mates: list[int] = []  # candidate's class, censused directly
-    others: list[int] = []
-    for b in balls:
-        if b == candidate:
-            continue
-        if oracle.cmp(candidate, b):
-            cnt += 1
-            mates.append(b)
-        else:
-            others.append(b)
+    census = balls[balls != candidate]
+    same = oracle.cmp_many(candidate, census)
+    mates, others = census[same], census[~same]  # candidate's class, censused directly
+    cnt = 1 + len(mates)
     lv.scan_comparisons = oracle.comparisons - start
 
     if cnt > m // 2:
@@ -421,34 +479,26 @@ def _heavy(run: _Run, balls: list[int], candidate: int) -> tuple[Answer, Certifi
     # found among the others frees two cover slots.  Needing zero pairs
     # (even m, census exactly half) closes immediately with cross pairs.
     need = m // 2 - cnt + (1 if m % 2 else 0)
-    klass = [candidate] + mates
+    klass = [candidate] + mates.tolist()
     if need == 0:
-        pairs = tuple(zip(others, klass))
+        pairs = tuple(zip(others.tolist(), klass))
         if len(pairs) != m // 2:
             raise ContractViolation("census cross pairs do not cover the level")
         return Answer.no_majority(), Certificate(pairs=pairs)
 
-    order = run.permuted(others)
-    found: list[tuple[int, int]] = []
     start = oracle.comparisons
-    for i in range(0, len(order) - 1, 2):
-        a, b = order[i], order[i + 1]
-        if not oracle.cmp(a, b):
-            found.append((a, b))
-            if len(found) == need:
-                break
+    found = _unequal_pairs(oracle, run.permuted(others), need)
     lv.pairing_comparisons = oracle.comparisons - start
 
     if len(found) < need:
         # Unlucky pair scan; rerun the deterministic baseline on the whole
         # level.  Rare by construction and still within the comparison cap.
         start = oracle.comparisons
-        answer, cert = boyer_moore(oracle, balls)
+        answer, cert = boyer_moore(oracle, balls.tolist())
         lv.fallback_comparisons = oracle.comparisons - start
         return answer, cert
 
-    in_pair = {b for pair in found for b in pair}
-    rest = [b for b in others if b not in in_pair]
+    rest = others[~np.isin(others, [b for pair in found for b in pair])].tolist()
     triangle = None
     if m % 2:
         a, b = found.pop()
@@ -459,16 +509,16 @@ def _heavy(run: _Run, balls: list[int], candidate: int) -> tuple[Answer, Certifi
     return Answer.no_majority(), Certificate(pairs=pairs, triangle=triangle)
 
 
-def _base(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
+def _base(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
     lv = LevelStats("base", len(balls))
     run.levels.append(lv)
     start = run.oracle.comparisons
-    answer, cert = boyer_moore(run.oracle, balls)
+    answer, cert = boyer_moore(run.oracle, balls.tolist())
     lv.scan_comparisons = run.oracle.comparisons - start
     return answer, cert
 
 
-def _solve(run: _Run, balls: list[int]) -> tuple[Answer, Certificate | None]:
+def _solve(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
     if len(balls) <= run.params.cutoff:
         return _base(run, balls)
     return _balanced(run, balls)
@@ -479,17 +529,19 @@ def _drive(
     balls: Sequence[int] | None,
     params: Params | None,
     rng: RandomStream | None,
-    top: Callable[[_Run, list[int]], tuple[Answer, Certificate | None]],
+    top: Callable[[_Run, np.ndarray], tuple[Answer, Certificate | None]],
 ) -> tuple[Answer, Certificate | None, RunStats]:
     """Run ``top`` on the balls and enforce the contract on the result.
 
-    The comparison cap (params.cap_factor per ball) and the depth bound are
-    checked with ContractViolation, so they hold under ``python -O`` too.
+    Balls travel between levels as int64 arrays.  The comparison cap
+    (params.cap_factor per ball) and the depth bound are checked with
+    ContractViolation, so they hold under ``python -O`` too.
     """
     if balls is None:
-        balls = range(1, oracle.instance.n + 1)
-    balls = list(balls)
-    if not balls:
+        balls = np.arange(1, oracle.instance.n + 1, dtype=np.int64)
+    else:
+        balls = np.fromiter(balls, dtype=np.int64)
+    if not len(balls):
         return Answer.no_majority(), Certificate(), RunStats(0, 0, (), ())
     run = _Run(
         oracle,

@@ -41,6 +41,8 @@ from conftest import ACCEPTANCE_REPORT
 from predictors import class_counts, predict_heavy, predict_light
 from statsuites import ALL_SUITES
 
+pytestmark = pytest.mark.slow
+
 BIG_N = 1 << 20
 
 

@@ -307,3 +307,69 @@ def test_perturbed_transcript_never_endorses_a_false_claim(
                 assert answer_matches_brute_force(claim, c), (claim, c.colors)
             if not flip:
                 assert answer_matches_brute_force(claim, inst)
+
+
+def perturbed_claim(answer, cert, transcript, kind, index, ball, delta, n):
+    """One edit of an honest claim.  A majority claim is edited in its
+    multiplicity or witness, or else replaced by a no-majority claim built
+    from the unequal records, which the remaining edits then work on."""
+    if answer.is_majority:
+        if kind == "none":
+            return answer, cert
+        if kind == "multiplicity":
+            return Answer.majority(answer.witness, answer.multiplicity + delta), None
+        if kind == "move_candidate":
+            return Answer.majority(ball, answer.multiplicity), None
+        witness = answer.witness
+        answer, cert = Answer.no_majority(), matching_of_unequal_records(transcript)
+        cert = Certificate(cert.pairs, candidate=witness)
+    units = [*cert.pairs] + ([cert.triangle] if cert.triangle is not None else [])
+    if kind == "drop_pair" and cert.pairs:
+        pairs = list(cert.pairs)
+        del pairs[index % len(pairs)]
+        return answer, Certificate(tuple(pairs), cert.triangle, cert.candidate)
+    if kind == "swap_ball" and units:
+        i = index % len(units)
+        unit = list(units[i])
+        unit[index % len(unit)] = ball
+        units[i] = tuple(unit)
+        if cert.triangle is not None and i == len(units) - 1:
+            return answer, Certificate(tuple(units[:-1]), units[-1], cert.candidate)
+        return answer, Certificate(tuple(units[: len(cert.pairs)]), cert.triangle, cert.candidate)
+    if kind == "move_candidate":
+        return answer, Certificate(cert.pairs, cert.triangle, ball)
+    if kind == "multiplicity":
+        # No majority says every class is at most n//2; claim one more.
+        return Answer.majority(ball, n // 2 + 1), None
+    return answer, cert
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    colors=st.lists(st.integers(1, 3), min_size=1, max_size=12),
+    use_baseline=st.booleans(),
+    seed=st.integers(0, 1000),
+    kind=st.sampled_from(("none", "drop_pair", "swap_ball", "move_candidate", "multiplicity")),
+    index=st.integers(0, 10**6),
+    ball=st.integers(0, 10**6),
+    delta=st.sampled_from((-1, 1)),
+)
+def test_accepted_claims_are_true(colors, use_baseline, seed, kind, index, ball, delta):
+    # An honest run's claim, edited once, against its honest transcript:
+    # whatever the auditor accepts must agree with brute force.
+    inst = Instance(tuple(colors))
+    n = inst.n
+    oracle = CountingOracle(inst, record_transcript=True)
+    if use_baseline:
+        answer, cert = boyer_moore(oracle)
+    else:
+        answer, cert, _ = majority(
+            oracle, params=Params(cutoff=2), rng=RandomStream(seed, "claims", n)
+        )
+    transcript = list(oracle.transcript)
+    claim, claim_cert = perturbed_claim(answer, cert, transcript, kind, index, ball % n + 1, delta, n)
+    accepted = verify_run(n, transcript, claim, claim_cert).accepted
+    if accepted:
+        assert answer_matches_brute_force(claim, inst), (claim, claim_cert, colors)
+    if kind == "none":
+        assert accepted

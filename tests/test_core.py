@@ -2,16 +2,21 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from majoritylab import (
+    ComparisonRecord,
     CountingOracle,
     Instance,
+    Params,
     RandomStream,
     generate,
+    majority,
     parse_distribution,
     read_instance,
     relabel,
+    verify_run,
     write_instance,
 )
 
@@ -52,6 +57,77 @@ def test_oracle_transcript_recording():
     assert not bare.recording
     with pytest.raises(ValueError):
         bare.transcript
+
+
+def test_cmp_many_bills_every_pair_and_nothing_for_an_empty_batch():
+    oracle = CountingOracle(Instance((1, 1, 2, 2)), record_transcript=True)
+    assert oracle.cmp_many(1, np.array([2, 3, 4, 1])).tolist() == [True, False, False, True]
+    assert oracle.comparisons == 4
+    assert oracle.cmp_many(np.array([3, 1]), np.array([4, 3])).tolist() == [True, False]
+    assert oracle.comparisons == 6
+    empty = np.array([], dtype=np.int64)
+    assert oracle.cmp_many(1, empty).size == 0
+    assert oracle.cmp_many(empty, empty).size == 0
+    assert oracle.comparisons == 6
+    assert len(oracle.transcript) == 6
+
+
+@pytest.mark.parametrize(
+    "xs,ys",
+    [
+        (1, [2, 5]),
+        (1, [0, 2]),
+        (1, [3, -1]),
+        (0, [1, 2]),
+        (5, [1, 2]),
+        ([1, 5], [2, 3]),
+        ([0, 2], [3, 4]),
+        ([1, 2], [3, 9]),
+    ],
+)
+def test_cmp_many_rejects_a_bad_index_before_billing_or_recording(xs, ys):
+    oracle = CountingOracle(Instance((1, 2, 1, 2)), record_transcript=True)
+    oracle.cmp(1, 2)
+    left = np.array(xs) if isinstance(xs, list) else xs
+    with pytest.raises(IndexError):
+        oracle.cmp_many(left, np.array(ys))
+    assert oracle.comparisons == 1
+    assert list(oracle.transcript) == [(1, 2, False)]
+
+
+def test_cmp_many_rejects_mismatched_batches():
+    oracle = CountingOracle(Instance((1, 2, 1)))
+    with pytest.raises(ValueError):
+        oracle.cmp_many(np.array([1, 2]), np.array([3]))
+    assert oracle.comparisons == 0
+
+
+def test_transcript_keeps_call_order_across_scalar_and_batched_calls():
+    oracle = CountingOracle(Instance((1, 2, 1, 2, 1)), record_transcript=True)
+    oracle.cmp(1, 2)
+    oracle.cmp_many(3, np.array([4, 5]))
+    oracle.cmp(2, 4)
+    assert list(oracle.transcript) == [(1, 2, False), (3, 4, False), (3, 5, True), (2, 4, True)]
+    oracle.cmp(5, 1)
+    oracle.cmp_many(np.array([1, 2]), np.array([3, 3]))
+    oracle.cmp(4, 3)
+    expected = [
+        (1, 2, False),
+        (3, 4, False),
+        (3, 5, True),
+        (2, 4, True),
+        (5, 1, True),
+        (1, 3, True),
+        (2, 3, False),
+        (4, 3, False),
+    ]
+    records = list(oracle.transcript)
+    assert records == expected
+    assert len(oracle.transcript) == len(expected) == oracle.comparisons
+    assert all(type(r) is ComparisonRecord for r in records)
+    assert all(type(r.left) is int and type(r.equal) is bool for r in records)
+    left, right, equal = oracle.transcript.columns()
+    assert list(zip(left.tolist(), right.tolist(), equal.tolist())) == expected
 
 
 # -- distribution grammar ----------------------------------------------
@@ -150,6 +226,32 @@ def test_generate_deterministic_per_stream():
     a = generate("binary:p=0.5", 100, RandomStream(7, "g", 1))
     b = generate("binary:p=0.5", 100, RandomStream(7, "g", 1))
     assert a.colors == b.colors
+
+
+def test_generated_instance_keeps_its_color_array():
+    inst = generate("uniform:k=5", 200, RandomStream(9))
+    assert inst == Instance(inst.colors) and hash(inst) == hash(Instance(inst.colors))
+    assert type(inst.colors) is tuple
+    assert inst.color_array.dtype == np.int64
+    assert inst.color_array.tolist() == list(inst.colors)
+    assert not inst.color_array.flags.writeable
+    assert Instance(inst.colors).color_array.tolist() == list(inst.colors)
+
+
+@pytest.mark.parametrize("spec", ["binary:p=0.6", "profile:0.48,rest=3"])
+def test_huge_color_ids_match_their_small_relabelling(tmp_path, spec):
+    small = generate(spec, 3001, RandomStream(41, spec))
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{small.n}\n" + "".join(f"{2**70 + 2**64 * c}\n" for c in small.colors))
+    huge = read_instance(str(path))
+    assert min(huge.colors) >= 2**64
+    runs = []
+    for inst in (small, huge):
+        oracle = CountingOracle(inst, record_transcript=True)
+        answer, cert, _ = majority(oracle, params=Params(cutoff=64), rng=RandomStream(42))
+        assert verify_run(inst.n, oracle.transcript, answer, cert).accepted
+        runs.append((answer, cert, oracle.comparisons))
+    assert runs[0] == runs[1]
 
 
 def test_relabel_preserves_class_sizes():

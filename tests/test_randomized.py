@@ -3,9 +3,14 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from majoritylab import (
     Answer,
@@ -23,7 +28,8 @@ from majoritylab import (
     verify_run,
 )
 
-from majoritylab.randomized import _lift_certificate
+from majoritylab import randomized
+from majoritylab.randomized import _deficit_scan, _lift_certificate, _unequal_pairs
 from support import all_colorings, assert_run_ok, run_randomized
 
 
@@ -252,3 +258,181 @@ def test_subset_of_balls():
     )
     assert answer.is_majority and answer.multiplicity == 4
     assert inst.color_of(answer.witness) == 2
+
+
+@pytest.mark.parametrize(
+    "spec", ["binary:p=0.5", "binary:p=0.9", "profile:0.48,rest=100", "uniform:k=n", "uniform:k=3"]
+)
+def test_recording_does_not_change_the_run(spec):
+    inst = generate(spec, 3001, RandomStream(40, spec))
+    for run in (
+        lambda oracle: majority(oracle, params=Params(cutoff=64), rng=RandomStream(41, spec)),
+        lambda oracle: heavy(oracle, 1, params=Params(cutoff=64), rng=RandomStream(42, spec)),
+    ):
+        bare = CountingOracle(inst)
+        recording = CountingOracle(inst, record_transcript=True)
+        answer, cert, stats = run(bare)
+        assert run(recording) == (answer, cert, stats)
+        assert bare.comparisons == recording.comparisons == len(recording.transcript)
+        assert verify_run(inst.n, recording.transcript, answer, cert).accepted
+
+
+# -- chunked scans against their pair-by-pair references -------------------
+
+
+def scalar_deficit_scan(oracle, v, cnt, pairs, m):
+    """The pair-by-pair deficit scan that _deficit_scan must reproduce."""
+    for a, b in pairs:
+        if not oracle.cmp(v, a) and not oracle.cmp(v, b):
+            cnt -= 1
+            if cnt == 0:
+                return Answer.no_majority(), Certificate(pairs=tuple(pairs), candidate=v)
+    return Answer.majority(v, m // 2 + cnt), None
+
+
+def scalar_unequal_pairs(oracle, order, need):
+    """The pair-by-pair scan that _unequal_pairs must reproduce."""
+    found = []
+    for i in range(0, len(order) - 1, 2):
+        a, b = order[i], order[i + 1]
+        if not oracle.cmp(a, b):
+            found.append((a, b))
+            if len(found) == need:
+                break
+    return found
+
+
+def columns(pairs):
+    return (
+        np.array([a for a, _ in pairs], dtype=np.int64),
+        np.array([b for _, b in pairs], dtype=np.int64),
+    )
+
+
+def pairs_of(columns):
+    return list(zip(columns[0].tolist(), columns[1].tolist()))
+
+
+@st.composite
+def deficit_scans(draw):
+    """Candidate ball 1 (color 1) against unequal pairs that hit it on the
+    first ball, hit it on the second, or miss it twice; cnt is 1, the
+    number of double misses (the stop lands on the last one) or any."""
+    kinds = draw(st.lists(st.sampled_from("abm"), max_size=30))
+    colors, pairs = [1], []
+    for kind in kinds:
+        other = draw(st.sampled_from((2, 3)))
+        colors += {"a": (1, other), "b": (other, 1), "m": (other, 5 - other)}[kind]
+        pairs.append((len(colors) - 1, len(colors)))
+    misses = kinds.count("m")
+    cnt = draw(st.one_of(st.just(1), st.just(max(misses, 1)), st.integers(1, len(kinds) + 2)))
+    return Instance(tuple(colors)), cnt, pairs
+
+
+def deficit_case(kinds, cnt):
+    colors, pairs = [1], []
+    for kind in kinds:
+        colors += {"a": (1, 2), "b": (2, 1), "m": (2, 3)}[kind]
+        pairs.append((len(colors) - 1, len(colors)))
+    return Instance(tuple(colors)), cnt, pairs
+
+
+# Scans switch to pair by pair below _MIN_BATCH; these small cases lower it
+# so that the chunks, and the switch from chunks to pairs, are exercised.
+min_batches = st.sampled_from((1, 2, 4, randomized._MIN_BATCH))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=deficit_scans(), min_batch=min_batches)
+@example(case=deficit_case("mmm", 3), min_batch=1)  # stops on the first chunk's last pair
+@example(case=deficit_case("amm", 2), min_batch=1)  # stops on the second chunk, one pair long
+@example(case=deficit_case("aabmbm", 1), min_batch=1)
+@example(case=deficit_case("abab", 1), min_batch=1)
+@example(case=deficit_case("ammmbm", 4), min_batch=2)  # chunks of 4, then pair by pair
+def test_chunked_deficit_scan_matches_scalar_reference(case, min_batch):
+    inst, cnt, pairs = case
+    chunked = CountingOracle(inst, record_transcript=True)
+    scalar = CountingOracle(inst, record_transcript=True)
+    with patch.object(randomized, "_MIN_BATCH", min_batch):
+        got = _deficit_scan(chunked, 1, cnt, columns(pairs), inst.n)
+    assert got == scalar_deficit_scan(scalar, 1, cnt, pairs, inst.n)
+    assert chunked.comparisons == scalar.comparisons
+    assert Counter(chunked.transcript) == Counter(scalar.transcript)
+
+
+@st.composite
+def pair_scans(draw):
+    """Consecutive pairs, each equal or unequal by construction; need is 1,
+    the number of unequal pairs (the stop lands on the last one) or any."""
+    unequal = draw(st.lists(st.booleans(), max_size=30))
+    colors = []
+    for flag in unequal:
+        c = draw(st.sampled_from((1, 2, 3)))
+        colors += (c, c % 3 + 1 if flag else c)
+    if draw(st.booleans()):
+        colors.append(1)  # an odd ball left out of every pair
+    found = sum(unequal)
+    need = draw(st.one_of(st.just(1), st.just(max(found, 1)), st.integers(1, len(unequal) + 2)))
+    return Instance(tuple(colors)), need
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=pair_scans(), min_batch=min_batches)
+# stops on the first chunk's last pair
+@example(case=(Instance((1, 2, 1, 3, 2, 3, 1, 1)), 3), min_batch=1)
+# stops on the last pair, chunk of one
+@example(case=(Instance((1, 1, 1, 2, 2, 2, 3, 1)), 2), min_batch=1)
+@example(case=(Instance((1, 1, 2, 2, 1, 3)), 1), min_batch=1)
+# a chunk of 3, then pair by pair
+@example(case=(Instance((1, 2, 1, 1, 3, 3, 2, 1, 2, 2, 3, 1)), 3), min_batch=3)
+def test_chunked_pair_scan_matches_scalar_reference(case, min_batch):
+    inst, need = case
+    order = np.arange(1, inst.n + 1, dtype=np.int64)
+    chunked = CountingOracle(inst, record_transcript=True)
+    scalar = CountingOracle(inst, record_transcript=True)
+    with patch.object(randomized, "_MIN_BATCH", min_batch):
+        got = _unequal_pairs(chunked, order, need)
+    assert got == scalar_unequal_pairs(scalar, order.tolist(), need)
+    assert chunked.comparisons == scalar.comparisons
+    assert Counter(chunked.transcript) == Counter(scalar.transcript)
+
+
+def _scalar_scan(oracle, v, cnt, unequal, m):
+    return scalar_deficit_scan(oracle, v, cnt, pairs_of(unequal), m)
+
+
+def _scalar_pairs(oracle, order, need):
+    return scalar_unequal_pairs(oracle, order.tolist(), need)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    colors=st.lists(st.integers(1, 4), min_size=1, max_size=40),
+    seed=st.integers(0, 10**6),
+    pick=st.integers(0, 10**6),
+    min_batch=min_batches,
+)
+def test_runs_with_scalar_scans_give_the_same_verdicts(colors, seed, pick, min_batch):
+    # Whole majority and heavy runs, once with the chunked scans and once
+    # with the pair-by-pair references swapped in: same answers,
+    # certificates and stats, and the same multiset of records.
+    inst = Instance(tuple(colors))
+    n = inst.n
+    params = Params(cutoff=2)
+
+    def runs():
+        out = []
+        for solve in (
+            lambda o: majority(o, params=params, rng=RandomStream(seed, "scan", n)),
+            lambda o: heavy(o, pick % n + 1, params=params, rng=RandomStream(seed, "h", n)),
+        ):
+            oracle = CountingOracle(inst, record_transcript=True)
+            out.append((solve(oracle), Counter(oracle.transcript)))
+        return out
+
+    with patch.object(randomized, "_MIN_BATCH", min_batch):
+        chunked = runs()
+    with patch.object(randomized, "_deficit_scan", _scalar_scan), patch.object(
+        randomized, "_unequal_pairs", _scalar_pairs
+    ):
+        assert runs() == chunked
