@@ -2,10 +2,15 @@
 
 An instance is n colored balls, identified by the indices 1..n.  Algorithms
 never see colors; they learn about them only through CountingOracle, which
-answers "same color?" one pair at a time (``cmp``) or for a whole batch of
-pairs (``cmp_many``) and bills one comparison for every pair it answers.
+answers "same color?" one pair at a time (``cmp``), for a whole batch of
+pairs (``cmp_many``), or as an early-stopping scan over pairs
+(``scan_until``), and bills one comparison for every answer it hands out.
 The oracle can optionally record a transcript of (x, y, equal) triples,
 which is what the certificate auditing in `certify` consumes.
+
+The billing rule is that the solver never learns a comparison it is not
+billed for.  ``scan_until`` may look up colors past its stopping point, but
+nothing past the stop is billed, recorded or returned.
 """
 
 from __future__ import annotations
@@ -129,6 +134,8 @@ class CountingOracle:
     Counts every comparison, including repeated and self-comparisons: the
     cost model charges for asking, not for learning something new, so there
     is deliberately no memoization.  cmp(x, x) returns True and costs 1.
+    Every answer handed out is billed and, when recording, recorded in the
+    order the equivalent cmp calls would make them.
     """
 
     __slots__ = ("instance", "_colors", "_n", "comparisons", "_transcript")
@@ -139,6 +146,23 @@ class CountingOracle:
         self._n = len(instance.colors)
         self.comparisons = 0
         self._transcript: Transcript | None = Transcript() if record_transcript else None
+
+    def _index(self, op: str, balls):
+        """``balls - 1`` for one ball or an int64 array of balls.
+
+        Raises IndexError naming the first ball outside 1..n.  Shifted to
+        0-based and viewed as unsigned, an index below 1 wraps past n, so
+        one max checks both ends of the range.
+        """
+        n = self._n
+        if isinstance(balls, np.ndarray):
+            idx = balls - 1
+            if not len(idx) or np.maximum.reduce(idx.view(np.uint64)) < n:
+                return idx
+            balls = next(b for b in balls.tolist() if not 1 <= b <= n)
+        elif 1 <= balls <= n:
+            return balls - 1
+        raise IndexError(f"ball index out of range: {op} got {balls} with n={n}")
 
     def cmp(self, x: int, y: int) -> bool:
         if not (1 <= x <= self._n and 1 <= y <= self._n):
@@ -157,22 +181,12 @@ class CountingOracle:
         IndexError before anything is billed or recorded.
         """
         ys = np.asarray(ys, dtype=np.int64)
-        single = np.ndim(xs) == 0
+        single = isinstance(xs, (int, np.integer))
         if not single:
             xs = np.asarray(xs, dtype=np.int64)
             if xs.shape != ys.shape:
                 raise ValueError(f"cmp_many: {xs.shape} left balls against {ys.shape} right")
-        if not len(ys):
-            return np.zeros(0, dtype=bool)
-        n = self._n
-        # Shifted to 0-based and viewed as unsigned, an index below 1 wraps
-        # past n, so one max per side checks both ends of the range.
-        ix, iy = xs - 1, ys - 1
-        if iy.view(np.uint64).max() >= n or (
-            not 0 <= ix < n if single else ix.view(np.uint64).max() >= n
-        ):
-            bad = [b for b in np.append(xs, ys).tolist() if not 1 <= b <= n]
-            raise IndexError(f"ball index out of range: cmp_many got {bad[0]} with n={n}")
+        ix, iy = self._index("cmp_many", xs), self._index("cmp_many", ys)
         ids = self.instance.color_array
         equal = ids[iy] == ids[ix]
         self.comparisons += len(ys)
@@ -180,6 +194,55 @@ class CountingOracle:
             left = np.full(len(ys), xs, dtype=np.int64) if single else xs.copy()
             self._transcript._add_batch(left, ys.copy(), equal)
         return equal
+
+    def scan_until(
+        self, v: int | None, firsts: np.ndarray, seconds: np.ndarray, k: int
+    ) -> np.ndarray:
+        """Walk the pairs (firsts[i], seconds[i]) in order; stop after the k-th event.
+
+        With ``v`` None a pair costs one comparison, firsts[i] against
+        seconds[i], and its event is that the two differ.  With a ball
+        ``v`` a pair compares v with firsts[i] and, only if that missed,
+        with seconds[i]; its event is two misses.  Returns the event flags
+        of the pairs walked: up to and including the k-th event, or all of
+        them.  Bills and records exactly the comparisons of that loop, in
+        its order.  A bad index raises IndexError, mismatched columns or
+        k < 1 raise ValueError, before anything is billed or recorded.
+        """
+        firsts = np.asarray(firsts, dtype=np.int64)
+        seconds = np.asarray(seconds, dtype=np.int64)
+        if firsts.shape != seconds.shape:
+            raise ValueError(f"scan_until: {firsts.shape} first balls against {seconds.shape}")
+        if k < 1:
+            raise ValueError(f"scan_until: k must be at least 1, got {k}")
+        ids = self.instance.color_array
+        first = ids[self._index("scan_until", firsts)]
+        second = ids[self._index("scan_until", seconds)]
+        if v is None:
+            events = first != second
+        else:
+            color = ids[self._index("scan_until", v)]
+            miss = first != color
+            events = miss & (second != color)
+        stops = events.nonzero()[0]
+        walked = int(stops[k - 1]) + 1 if k <= len(stops) else len(events)
+        events = events[:walked]
+        if v is None:
+            self.comparisons += walked
+            if self._transcript is not None:
+                left, right = firsts[:walked].copy(), seconds[:walked].copy()
+                self._transcript._add_batch(left, right, ~events)
+            return events
+        miss = miss[:walked]
+        asked = walked + int(np.count_nonzero(miss))
+        self.comparisons += asked
+        if self._transcript is not None:
+            # Row i holds pair i's two comparisons; the second is asked only on a miss.
+            mask = np.array((np.ones(walked, dtype=bool), miss)).T
+            right = np.array((firsts[:walked], seconds[:walked])).T[mask]
+            equal = ~np.array((miss, events)).T[mask]
+            self._transcript._add_batch(np.full(asked, v, dtype=np.int64), right, equal)
+        return events
 
     @property
     def recording(self) -> bool:

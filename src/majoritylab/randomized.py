@@ -12,11 +12,11 @@ it, and when it falls short, finish the no-majority certificate by pairing
 off the rest.  ``estimate_frequencies`` is the sampler a dispatching level
 would build on.
 
-Balls travel between levels as int64 arrays.  The pairing, the deficit
-scan and heavy's census and pair scan ask the oracle in batches
-(``CountingOracle.cmp_many``), chunked so that no batch runs past the
-point where the pair-by-pair scan would stop: the comparisons billed are
-exactly the pair-by-pair ones.
+Balls travel between levels as int64 arrays.  The pairing and heavy's
+census are one ``CountingOracle.cmp_many`` batch each.  The deficit scan
+and heavy's pair scan are one ``CountingOracle.scan_until`` call each,
+which bills exactly the comparisons of the pair-by-pair scan and stops
+where it stops.
 
 Every path is Las Vegas: answers are always exact, randomness moves only
 the comparison count.  No-majority answers carry a certificate that an
@@ -169,7 +169,7 @@ class _Run:
         """
         if self._np_gen is None:
             self._np_gen = self.rng.numpy_child()
-        return balls[self._np_gen.permutation(len(balls))]
+        return self._np_gen.permutation(balls)
 
 
 def _pairs(firsts: np.ndarray, seconds: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -343,13 +343,6 @@ def _finish_no_majority(
     return _resolve_leftover(run, lv, balls, leftover, cert, len(balls))
 
 
-# Below this many pairs a chunk costs more in batch overhead (two numpy
-# round trips, about 20 us on a 2-vCPU VM) than the ~0.8 us per pair of the
-# scalar cmp, so the scans finish pair by pair.  A chunk never grows, so
-# once a scan drops below it, it stays there.
-_MIN_BATCH = 32
-
-
 def _deficit_scan(
     oracle: CountingOracle, v: int, cnt: int, unequal: tuple[np.ndarray, np.ndarray], m: int
 ) -> tuple[Answer, Certificate | None]:
@@ -357,26 +350,10 @@ def _deficit_scan(
 
     ``cnt`` is v's class size minus m//2 if every unprobed pair held one
     more of it, so a pair that misses v twice lowers it by one, and the
-    scan stops as soon as it hits zero, where no-majority is already
-    forced.  The pairs go in chunks of at most ``cnt``: v against every
-    first ball, then against the second ball where the first missed.  cnt
-    drops by at most one per pair, so it can reach zero only on a chunk's
-    last pair, and every comparison billed is one the pair-by-pair scan
-    makes too.  Once cnt is below _MIN_BATCH the rest goes pair by pair.
+    scan stops at the cnt-th double miss, where no-majority is already
+    forced.
     """
-    firsts, seconds = unequal
-    i = 0
-    while cnt >= _MIN_BATCH and i < len(firsts):
-        k = min(cnt, len(firsts) - i)
-        missed = ~oracle.cmp_many(v, firsts[i : i + k])
-        second = oracle.cmp_many(v, seconds[i : i + k][missed])
-        cnt -= len(second) - int(np.count_nonzero(second))
-        i += k
-    for a, b in zip(firsts[i:].tolist(), seconds[i:].tolist()):
-        if cnt == 0:
-            break
-        if not oracle.cmp(v, a) and not oracle.cmp(v, b):
-            cnt -= 1
+    cnt -= int(np.count_nonzero(oracle.scan_until(v, *unequal, cnt)))
     if cnt == 0:
         return Answer.no_majority(), Certificate(pairs=_pairs(*unequal), candidate=v)
     return Answer.majority(v, m // 2 + cnt), None
@@ -434,26 +411,13 @@ def _unequal_pairs(
     """Compare the disjoint pairs of ``order`` until ``need`` are unequal.
 
     Returns the unequal pairs found, fewer than ``need`` only when the
-    pairs run out.  The pairs go in chunks of ``need`` minus the number
-    found, so the scan never passes the pair that completes the count;
-    below _MIN_BATCH still needed, the rest goes pair by pair.
+    pairs run out.
     """
     half = len(order) // 2
     firsts, seconds = order[0 : 2 * half : 2], order[1 : 2 * half : 2]
-    found: list[tuple[int, int]] = []
-    i = 0
-    while need - len(found) >= _MIN_BATCH and i < half:
-        k = min(need - len(found), half - i)
-        a, b = firsts[i : i + k], seconds[i : i + k]
-        unequal = ~oracle.cmp_many(a, b)
-        found += _pairs(a[unequal], b[unequal])
-        i += k
-    for a, b in zip(firsts[i:].tolist(), seconds[i:].tolist()):
-        if len(found) == need:
-            break
-        if not oracle.cmp(a, b):
-            found.append((a, b))
-    return found
+    unequal = oracle.scan_until(None, firsts, seconds, need)
+    walked = len(unequal)
+    return list(_pairs(firsts[:walked][unequal], seconds[:walked][unequal]))
 
 
 def _heavy(run: _Run, balls: np.ndarray, candidate: int) -> tuple[Answer, Certificate | None]:

@@ -130,6 +130,103 @@ def test_transcript_keeps_call_order_across_scalar_and_batched_calls():
     assert list(zip(left.tolist(), right.tolist(), equal.tolist())) == expected
 
 
+# Pairs (2,3) hit ball 1's colour on the first ball, (4,5) on the second,
+# (6,7) and (8,9) miss it twice; as plain pairs, all four are unequal but
+# the first.  Ball 1 stands alone.
+SCAN = Instance((1, 1, 1, 2, 1, 3, 2, 3, 2))
+FIRSTS, SECONDS = np.array([2, 4, 6, 8]), np.array([3, 5, 7, 9])
+
+
+def test_scan_until_without_a_ball_stops_on_the_kth_unequal_pair():
+    oracle = CountingOracle(SCAN, record_transcript=True)
+    assert oracle.scan_until(None, FIRSTS, SECONDS, 2).tolist() == [False, True, True]
+    assert oracle.comparisons == 3
+    assert list(oracle.transcript) == [(2, 3, True), (4, 5, False), (6, 7, False)]
+
+
+def test_scan_until_with_a_ball_asks_the_second_only_after_a_miss():
+    oracle = CountingOracle(SCAN, record_transcript=True)
+    assert oracle.scan_until(1, FIRSTS, SECONDS, 1).tolist() == [False, False, True]
+    # (1, 3) is never asked: ball 2 already hit.
+    assert list(oracle.transcript) == [
+        (1, 2, True),
+        (1, 4, False),
+        (1, 5, True),
+        (1, 6, False),
+        (1, 7, False),
+    ]
+    assert oracle.comparisons == 5
+
+
+@pytest.mark.parametrize(
+    "v,k,walked,billed", [(None, 3, 4, 4), (None, 9, 4, 4), (1, 2, 4, 7), (1, 3, 4, 7)]
+)
+def test_scan_until_walks_every_pair_when_k_is_not_reached(v, k, walked, billed):
+    oracle = CountingOracle(SCAN, record_transcript=True)
+    assert len(oracle.scan_until(v, FIRSTS, SECONDS, k)) == walked
+    assert oracle.comparisons == len(oracle.transcript) == billed
+
+
+def test_scan_until_bills_nothing_for_no_pairs():
+    oracle = CountingOracle(SCAN, record_transcript=True)
+    empty = np.array([], dtype=np.int64)
+    assert oracle.scan_until(None, empty, empty, 1).size == 0
+    assert oracle.scan_until(1, empty, empty, 1).size == 0
+    assert oracle.comparisons == len(oracle.transcript) == 0
+
+
+@pytest.mark.parametrize(
+    "v,firsts,seconds",
+    [
+        (0, [2], [3]),
+        (10, [2], [3]),
+        (1, [0, 4], [3, 5]),
+        (1, [2, 4], [3, 10]),
+        (None, [-1], [3]),
+        (None, [2], [10]),
+        (1, [6, 2], [7, 99]),  # past the stop: the first pair misses twice
+        (None, [4, 2], [5, -3]),
+    ],
+)
+def test_scan_until_rejects_a_bad_index_before_billing_or_recording(v, firsts, seconds):
+    oracle = CountingOracle(SCAN, record_transcript=True)
+    oracle.cmp(1, 2)
+    with pytest.raises(IndexError):
+        oracle.scan_until(v, np.array(firsts), np.array(seconds), 1)
+    assert oracle.comparisons == 1
+    assert list(oracle.transcript) == [(1, 2, True)]
+
+
+@pytest.mark.parametrize("firsts,seconds,k", [([2, 4], [3], 1), ([2], [3], 0), ([2], [3], -1)])
+def test_scan_until_rejects_mismatched_pairs_and_k_below_one(firsts, seconds, k):
+    oracle = CountingOracle(SCAN, record_transcript=True)
+    for v in (None, 1):
+        with pytest.raises(ValueError):
+            oracle.scan_until(v, np.array(firsts), np.array(seconds), k)
+    assert oracle.comparisons == len(oracle.transcript) == 0
+
+
+def test_scan_until_records_in_call_order_with_scalar_calls():
+    oracle = CountingOracle(SCAN, record_transcript=True)
+    oracle.cmp(1, 9)
+    oracle.scan_until(1, FIRSTS[1:], SECONDS[1:], 1)
+    oracle.cmp(3, 2)
+    oracle.scan_until(None, FIRSTS, SECONDS, 1)
+    oracle.cmp(8, 8)
+    assert list(oracle.transcript) == [
+        (1, 9, False),
+        (1, 4, False),
+        (1, 5, True),
+        (1, 6, False),
+        (1, 7, False),
+        (3, 2, True),
+        (2, 3, True),
+        (4, 5, False),
+        (8, 8, True),
+    ]
+    assert oracle.comparisons == 9
+
+
 # -- distribution grammar ----------------------------------------------
 
 

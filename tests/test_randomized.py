@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
@@ -277,7 +276,7 @@ def test_recording_does_not_change_the_run(spec):
         assert verify_run(inst.n, recording.transcript, answer, cert).accepted
 
 
-# -- chunked scans against their pair-by-pair references -------------------
+# -- the scans against their pair-by-pair references ----------------------
 
 
 def scalar_deficit_scan(oracle, v, cnt, pairs, m):
@@ -337,27 +336,23 @@ def deficit_case(kinds, cnt):
     return Instance(tuple(colors)), cnt, pairs
 
 
-# Scans switch to pair by pair below _MIN_BATCH; these small cases lower it
-# so that the chunks, and the switch from chunks to pairs, are exercised.
-min_batches = st.sampled_from((1, 2, 4, randomized._MIN_BATCH))
-
-
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(case=deficit_scans(), min_batch=min_batches)
-@example(case=deficit_case("mmm", 3), min_batch=1)  # stops on the first chunk's last pair
-@example(case=deficit_case("amm", 2), min_batch=1)  # stops on the second chunk, one pair long
-@example(case=deficit_case("aabmbm", 1), min_batch=1)
-@example(case=deficit_case("abab", 1), min_batch=1)
-@example(case=deficit_case("ammmbm", 4), min_batch=2)  # chunks of 4, then pair by pair
-def test_chunked_deficit_scan_matches_scalar_reference(case, min_batch):
+@given(case=deficit_scans())
+@example(case=deficit_case("mmm", 3))  # the stop lands on the last pair
+@example(case=deficit_case("amm", 2))  # on the last pair, after a hit
+@example(case=deficit_case("aabmbm", 1))  # on the first double miss, two pairs early
+@example(case=deficit_case("mamb", 1))  # on the first pair
+@example(case=deficit_case("abab", 1))  # no double miss: every pair is walked
+@example(case=deficit_case("ammmbm", 4))  # on the last pair, the fourth miss
+@example(case=deficit_case("ammmbm", 5))  # cnt past the last miss: every pair is walked
+def test_deficit_scan_matches_scalar_reference(case):
     inst, cnt, pairs = case
-    chunked = CountingOracle(inst, record_transcript=True)
+    oracle = CountingOracle(inst, record_transcript=True)
     scalar = CountingOracle(inst, record_transcript=True)
-    with patch.object(randomized, "_MIN_BATCH", min_batch):
-        got = _deficit_scan(chunked, 1, cnt, columns(pairs), inst.n)
+    got = _deficit_scan(oracle, 1, cnt, columns(pairs), inst.n)
     assert got == scalar_deficit_scan(scalar, 1, cnt, pairs, inst.n)
-    assert chunked.comparisons == scalar.comparisons
-    assert Counter(chunked.transcript) == Counter(scalar.transcript)
+    assert oracle.comparisons == scalar.comparisons
+    assert list(oracle.transcript) == list(scalar.transcript)
 
 
 @st.composite
@@ -377,24 +372,27 @@ def pair_scans(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(case=pair_scans(), min_batch=min_batches)
-# stops on the first chunk's last pair
-@example(case=(Instance((1, 2, 1, 3, 2, 3, 1, 1)), 3), min_batch=1)
-# stops on the last pair, chunk of one
-@example(case=(Instance((1, 1, 1, 2, 2, 2, 3, 1)), 2), min_batch=1)
-@example(case=(Instance((1, 1, 2, 2, 1, 3)), 1), min_batch=1)
-# a chunk of 3, then pair by pair
-@example(case=(Instance((1, 2, 1, 1, 3, 3, 2, 1, 2, 2, 3, 1)), 3), min_batch=3)
-def test_chunked_pair_scan_matches_scalar_reference(case, min_batch):
+@given(case=pair_scans())
+# the stop lands on the third pair, before an equal one
+@example(case=(Instance((1, 2, 1, 3, 2, 3, 1, 1)), 3))
+# on the third pair, before an unequal one
+@example(case=(Instance((1, 2, 1, 3, 2, 3, 1, 2)), 3))
+# on the last pair
+@example(case=(Instance((1, 1, 1, 2, 2, 2, 3, 1)), 2))
+@example(case=(Instance((1, 1, 2, 2, 1, 3)), 1))
+# on the last pair, the third unequal one among six
+@example(case=(Instance((1, 2, 1, 1, 3, 3, 2, 1, 2, 2, 3, 1)), 3))
+# need past the last unequal pair: every pair is walked
+@example(case=(Instance((1, 2, 1, 1, 3, 1, 2)), 3))
+def test_pair_scan_matches_scalar_reference(case):
     inst, need = case
     order = np.arange(1, inst.n + 1, dtype=np.int64)
-    chunked = CountingOracle(inst, record_transcript=True)
+    oracle = CountingOracle(inst, record_transcript=True)
     scalar = CountingOracle(inst, record_transcript=True)
-    with patch.object(randomized, "_MIN_BATCH", min_batch):
-        got = _unequal_pairs(chunked, order, need)
+    got = _unequal_pairs(oracle, order, need)
     assert got == scalar_unequal_pairs(scalar, order.tolist(), need)
-    assert chunked.comparisons == scalar.comparisons
-    assert Counter(chunked.transcript) == Counter(scalar.transcript)
+    assert oracle.comparisons == scalar.comparisons
+    assert list(oracle.transcript) == list(scalar.transcript)
 
 
 def _scalar_scan(oracle, v, cnt, unequal, m):
@@ -410,12 +408,11 @@ def _scalar_pairs(oracle, order, need):
     colors=st.lists(st.integers(1, 4), min_size=1, max_size=40),
     seed=st.integers(0, 10**6),
     pick=st.integers(0, 10**6),
-    min_batch=min_batches,
 )
-def test_runs_with_scalar_scans_give_the_same_verdicts(colors, seed, pick, min_batch):
-    # Whole majority and heavy runs, once with the chunked scans and once
+def test_runs_with_scalar_scans_give_the_same_verdicts(colors, seed, pick):
+    # Whole majority and heavy runs, once with the oracle's scans and once
     # with the pair-by-pair references swapped in: same answers,
-    # certificates and stats, and the same multiset of records.
+    # certificates and stats, and the same records in the same order.
     inst = Instance(tuple(colors))
     n = inst.n
     params = Params(cutoff=2)
@@ -427,12 +424,11 @@ def test_runs_with_scalar_scans_give_the_same_verdicts(colors, seed, pick, min_b
             lambda o: heavy(o, pick % n + 1, params=params, rng=RandomStream(seed, "h", n)),
         ):
             oracle = CountingOracle(inst, record_transcript=True)
-            out.append((solve(oracle), Counter(oracle.transcript)))
+            out.append((solve(oracle), list(oracle.transcript)))
         return out
 
-    with patch.object(randomized, "_MIN_BATCH", min_batch):
-        chunked = runs()
+    scanned = runs()
     with patch.object(randomized, "_deficit_scan", _scalar_scan), patch.object(
         randomized, "_unequal_pairs", _scalar_pairs
     ):
-        assert runs() == chunked
+        assert runs() == scanned
