@@ -1,12 +1,13 @@
 """Certificate auditing: replay a comparison transcript and check claims.
 
 The auditor is deliberately dumber than the algorithms it checks.  It
-freezes a transcript into one class label per ball (union-find over the
-"equal" records, every ball compressed to its final root) and a set of
-conflicts, each "unequal" record stored as the ordered pair of the two
-labels it separates.  Two balls are *provably unequal* only when their
-labels form a recorded conflict pair.  No multi-edge inference is performed
-here: reasoning like "x differs from two balls that differ from each other,
+freezes a transcript into two arrays.  ``label`` gives every ball the
+smallest ball of its equality class, found by an array union-find over the
+"equal" records.  ``keys`` holds each "unequal" record as one sorted,
+deduplicated int64 key ``min * (n + 1) + max`` over the labels of the two
+classes it separates.  Two balls are *provably unequal* only when their
+labels form a recorded key.  No multi-edge inference is performed here:
+reasoning like "x differs from two balls that differ from each other,
 so..." belongs to adversary-style arguments over binary alphabets, not to
 an auditor that must stay sound for arbitrary alphabets.
 
@@ -15,13 +16,16 @@ size, the size clears n/2, and every other class conflicts with the witness's
 class.  A no-majority claim is accepted from a Certificate: disjoint provably
 unequal units (pairs plus, for odd n, one mutually-unequal triangle) and,
 when the units do not cover everything, counting conditions around an
-optional candidate class.
+optional candidate class.  Both checks run as array operations over every
+ball and every unit at once, with one code path for every size.  The
+auditor shares no code with the solvers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,37 +59,48 @@ class CheckResult:
         return self.accepted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EqStructure:
-    """A transcript frozen into class labels and conflicting label pairs.
+    """A transcript frozen into class labels and sorted conflict keys.
 
-    ``label[x]`` names the equality class of ball x (index 0 unused); a
-    label is one ball of its class.  ``size[l]`` is the size of the class
-    labelled l.  ``conflicts`` holds each unequal record as the label pair
-    (min, max) of the two classes it separates.
+    ``label[x]`` (an int64 array, index 0 unused) names the equality class
+    of ball x by its smallest ball, so ``label[x] <= x`` and x labels a
+    class exactly when ``label[x] == x``.  ``size[l]`` is the size of the
+    class labelled l.  ``keys`` holds each unequal record once, as
+    ``min * (n + 1) + max`` of the labels of the two classes it separates,
+    sorted ascending and closed by ``(n + 1) ** 2``.  That last key is above
+    every label pair and names none, so a lookup never runs off the end.
     """
 
     n: int
-    label: list[int]
-    size: list[int]
-    conflicts: set[tuple[int, int]]
+    label: np.ndarray
+    size: np.ndarray
+    keys: np.ndarray
 
     def same_class(self, x: int, y: int) -> bool:
-        return self.label[x] == self.label[y]
+        return bool(self.label[x] == self.label[y])
 
     def provably_unequal(self, x: int, y: int) -> bool:
-        lx, ly = self.label[x], self.label[y]
-        return ((lx, ly) if lx < ly else (ly, lx)) in self.conflicts
+        lx, ly = int(self.label[x]), int(self.label[y])
+        key = min(lx, ly) * (self.n + 1) + max(lx, ly)
+        return int(self.keys[self.keys.searchsorted(key)]) == key
 
     def class_size(self, x: int) -> int:
-        return self.size[self.label[x]]
+        return int(self.size[self.label[x]])
 
     def class_roots(self) -> list[int]:
-        return [b for b in range(1, self.n + 1) if self.label[b] == b]
+        return np.flatnonzero(self.label == np.arange(self.n + 1))[1:].tolist()
 
     def conflict_roots_of(self, x: int) -> set[int]:
-        lx = self.label[x]
-        return {b if a == lx else a for a, b in self.conflicts if lx in (a, b)}
+        return set(self.rivals(int(self.label[x])).tolist())
+
+    def rivals(self, lx: int) -> np.ndarray:
+        """Labels of the classes a recorded conflict separates from class lx.
+
+        Keys are unique and each names its two labels in order, so no
+        label appears twice.  The closing key names no ball's label."""
+        lo, hi = np.divmod(self.keys, self.n + 1)
+        return np.concatenate((hi[lo == lx], lo[hi == lx]))
 
 
 def _columns(transcript: Iterable[ComparisonRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,55 +112,55 @@ def _columns(transcript: Iterable[ComparisonRecord]) -> tuple[np.ndarray, np.nda
 
 
 def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStructure:
-    """Replay a transcript into class labels and conflicts.
+    """Replay a transcript into class labels and conflict keys.
 
-    Equalities are applied first (union by size, path halving), then every
-    ball is compressed to its final root, which becomes its label.  Only
-    then are the unequal records keyed, so a later equality can never
-    silently invalidate an already-registered conflict: if any unequal
-    record ends up inside one class, the transcript is contradictory and
-    we raise.  The records are read as columns, never one object each.
+    The equal records are applied first, by an array union-find.  Each
+    round hooks the larger label of every equal record that still joins
+    two classes onto the smaller one, then jumps pointers until every ball
+    points at its class's smallest ball.  Rounds repeat until no equal
+    record joins two classes.  Only then are the unequal records keyed, so
+    a later equality can never silently invalidate an already-registered
+    conflict: if any unequal record ends up inside one class, the
+    transcript is contradictory and we raise.
     """
     left, right, equal = _columns(transcript)
-    if len(left) and (min(left.min(), right.min()) < 1 or max(left.max(), right.max()) > n):
-        i = np.flatnonzero((left < 1) | (left > n) | (right < 1) | (right > n))[0]
+    outside = (left < 1) | (left > n) | (right < 1) | (right > n)
+    if np.count_nonzero(outside):
+        i = outside.nonzero()[0][0]
         rec = ComparisonRecord(int(left[i]), int(right[i]), bool(equal[i]))
         raise ValueError(f"transcript references ball out of range: {rec}")
 
-    parent = list(range(n + 1))  # index 0 unused
-    size = [1] * (n + 1)
-    for x, y in zip(left[equal].tolist(), right[equal].tolist()):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x == y:
-            continue
-        if size[x] < size[y]:
-            x, y = y, x
-        parent[y] = x
-        size[x] += size[y]
+    # A ball only ever points at a smaller one, so hooking never makes a
+    # cycle, and each round removes at least one class.  From the second
+    # round on, a and b hold the labels the records had after the round
+    # before; once pointers are jumped, label[a] is the label of every ball
+    # that a labelled.
+    label = np.arange(n + 1)
+    a, b = left[equal], right[equal]
+    while len(a):
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = label[label]
+            if not np.count_nonzero(jumped != label):
+                break
+            label = jumped
+        a, b = label[a], label[b]
+        split = a != b
+        a, b = a[split], b[split]
 
-    for b in range(1, n + 1):
-        root = parent[b]
-        while parent[root] != root:
-            root = parent[root]
-        parent[b] = root
-    label = parent
-
-    labels = np.array(label, dtype=np.int64)
     unequal = ~equal
-    a, b = labels[left[unequal]], labels[right[unequal]]
+    a, b = label[left[unequal]], label[right[unequal]]
     clash = a == b
-    if clash.any():
-        i = np.flatnonzero(clash)[0]
+    if np.count_nonzero(clash):
+        i = clash.nonzero()[0][0]
         raise InconsistentTranscript(
             f"balls {left[unequal][i]} and {right[unequal][i]} are both equal and unequal"
         )
-    conflicts = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-    return EqStructure(n, label, size, conflicts)
+    keys = np.concatenate((np.minimum(a, b) * (n + 1) + np.maximum(a, b), [(n + 1) ** 2]))
+    keys.sort()
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[1:] = keys[1:] == keys[:-1]
+    return EqStructure(n, label, np.bincount(label, minlength=n + 1), keys[~repeat])
 
 
 # ----------------------------------------------------------------------
@@ -166,12 +181,17 @@ def check_majority_claim(eq: EqStructure, answer: Answer, n: int) -> CheckResult
     proven = eq.class_size(v)
     if proven != mult:
         return CheckResult(False, f"witness class has {proven} proven members, claim says {mult}")
-    lv = eq.label[v]
-    rivals = eq.conflict_roots_of(v)
-    for r in eq.class_roots():
-        if r != lv and r not in rivals:
-            return CheckResult(False, f"class of ball {r} is not proven unequal to witness")
-    return CheckResult(True)
+    # Every rival is the label of another class, so the witness conflicts
+    # with every other class exactly when the counts agree.
+    lv = int(eq.label[v])
+    roots = eq.label == np.arange(n + 1)
+    rivals = eq.rivals(lv)
+    if len(rivals) == np.count_nonzero(roots) - 2:  # less ball 0 and the witness's class
+        return CheckResult(True)
+    roots[[0, lv]] = False
+    roots[rivals] = False
+    r = int(roots.nonzero()[0][0])
+    return CheckResult(False, f"class of ball {r} is not proven unequal to witness")
 
 
 def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> CheckResult:
@@ -179,61 +199,71 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
 
     Each unit (a pair, or the triangle) must lie in range, share no ball
     with another unit and be provably unequal in every pair of its balls,
-    so it holds at most one ball of any color.
+    so it holds at most one ball of any color.  The balls of all units are
+    checked as one array; a rejection names the failure a ball-by-ball walk
+    of the certificate meets first.
     """
     half = n // 2
-    units: list[tuple[int, ...]] = list(cert.pairs)
-    if cert.triangle is not None:
-        units.append(cert.triangle)
-    covered: set[int] = set()
-    for unit in units:
-        for i, ball in enumerate(unit):
-            if not 1 <= ball <= n:
-                return CheckResult(False, f"ball {ball} of unit {unit} out of range")
-            if ball in covered:
-                return CheckResult(False, f"ball {ball} covered twice")
-            covered.add(ball)
-            for other in unit[:i]:
-                if not eq.provably_unequal(other, ball):
-                    return CheckResult(
-                        False, f"({other}, {ball}) of unit {unit} is not provably unequal"
-                    )
-    uncovered = [b for b in range(1, n + 1) if b not in covered]
+    units = (*cert.pairs, cert.triangle) if cert.triangle is not None else tuple(cert.pairs)
+    sizes = np.fromiter(map(len, units), dtype=np.int64, count=len(units))
+    try:
+        balls = np.fromiter(chain.from_iterable(units), dtype=np.int64)
+    except OverflowError:
+        return CheckResult(False, "a ball of a unit is out of range")
+    owner = np.arange(len(units)).repeat(sizes)  # the unit of each ball
+
+    inside = (balls >= 1) & (balls <= n)
+    safe = balls * inside  # out-of-range balls become ball 0
+    cover = np.bincount(safe, minlength=n + 1)
+    cover[0] = 1  # ball 0 is never free, and out-of-range balls fail the range check
+    labels = eq.label[safe]
+    # checks[d - 1] tests each ball against the ball d places before it in its unit
+    checks = []
+    for d in range(1, np.maximum.reduce(sizes, initial=0)):
+        paired = owner[d:] == owner[:-d]
+        a, b = labels[d:][paired], labels[:-d][paired]
+        key = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
+        proven = eq.keys[eq.keys.searchsorted(key)] == key
+        checks.append((paired, proven))
+    if (
+        np.count_nonzero(inside) < len(balls)
+        or np.count_nonzero(cover) <= len(balls)  # some ball covered twice
+        or any(np.count_nonzero(proven) < len(proven) for _, proven in checks)
+    ):
+        return CheckResult(False, _first_unit_failure(units, safe, owner, inside, checks))
+    free = cover == 0
 
     if cert.candidate is None:
         # Pure matching certificate: every color hits each unit at most once
         # and may own every uncovered ball.
-        if len(units) + len(uncovered) > half:
-            return CheckResult(
-                False,
-                f"{len(units)} units + {len(uncovered)} uncovered exceeds {half}",
-            )
+        uncovered = n - len(balls)
+        if len(units) + uncovered > half:
+            return CheckResult(False, f"{len(units)} units + {uncovered} uncovered exceeds {half}")
         return CheckResult(True)
 
     v = cert.candidate
     if not 1 <= v <= n:
         return CheckResult(False, f"candidate {v} out of range")
-    label = eq.label
-    lv = label[v]
-    rivals = eq.conflict_roots_of(v)  # labels of classes proven unequal to v's
+    lv = int(eq.label[v])
+    rival = np.zeros(n + 1, dtype=bool)  # classes proven unequal to v's
+    rival[eq.rivals(lv)] = True
 
     # (a) caps every color other than the candidate's: one per unit, plus
     # any uncovered ball not pinned to the candidate class.
-    loose = sum(1 for b in uncovered if label[b] != lv)
+    loose_balls = free & (eq.label != lv)
+    loose = np.count_nonzero(loose_balls)
     if len(units) + loose > half:
-        return CheckResult(
-            False, f"non-candidate bound fails: {len(units)} units + {loose} loose"
-        )
+        return CheckResult(False, f"non-candidate bound fails: {len(units)} units + {loose} loose")
 
     # (b) caps the candidate's color: proven class members, plus units that
-    # might be hiding one more, plus unresolved uncovered balls.
-    class_size = eq.class_size(v)
-    suspicious = 0
-    for unit in units:
-        labels = {label[b] for b in unit}
-        if lv not in labels and not labels <= rivals:
-            suspicious += 1
-    unresolved = sum(1 for b in uncovered if label[b] != lv and label[b] not in rivals)
+    # might be hiding one more, plus unresolved uncovered balls.  A unit is
+    # suspicious when one of its balls is unresolved and none is pinned.
+    class_size = int(eq.size[lv])
+    suspect = np.zeros(len(units), dtype=bool)
+    suspect[owner[~rival[labels]]] = True
+    suspect[owner[labels == lv]] = False
+    suspicious = np.count_nonzero(suspect)
+    unresolved = np.count_nonzero(loose_balls & ~rival[eq.label])
     if class_size + suspicious + unresolved > half:
         return CheckResult(
             False,
@@ -241,6 +271,31 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
             f" + {unresolved} unresolved exceeds {half}",
         )
     return CheckResult(True)
+
+
+def _first_unit_failure(units, safe, owner, inside, checks) -> str:
+    """The first failed unit check in certificate order, ball by ball.
+
+    At each ball a walk checks its range, then that no earlier ball is the
+    same, then that it is provably unequal to each earlier ball of its
+    unit, first to last.  Every ball before the first failing one passed
+    all of its checks, so only the order of checks within one ball matters.
+    """
+    _, first = np.unique(safe, return_index=True)
+    repeated = inside.copy()
+    repeated[first] = False
+    unproven = np.zeros(len(safe), dtype=np.int64)  # largest failing distance back
+    for d, (paired, proven) in enumerate(checks, start=1):
+        unproven[paired.nonzero()[0][~proven] + d] = d
+    j = int((~inside | repeated | (unproven > 0)).nonzero()[0][0])
+    u = int(owner[j])
+    unit, i = units[u], j - int(owner.searchsorted(u))
+    ball = unit[i]
+    if not inside[j]:
+        return f"ball {ball} of unit {unit} out of range"
+    if repeated[j]:
+        return f"ball {ball} covered twice"
+    return f"({unit[i - int(unproven[j])]}, {ball}) of unit {unit} is not provably unequal"
 
 
 def verify_run(

@@ -1,8 +1,13 @@
 """The auditor: knowledge structure, claim checking, perturbed transcripts."""
 
+import ast
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import reference_auditor
 
 from majoritylab import (
     Answer,
@@ -49,8 +54,31 @@ def small_transcripts(draw):
     return n, draw(st.permutations(honest + arbitrary))
 
 
+def equal_chain(balls):
+    return [rec(a, b, True) for a, b in zip(balls, balls[1:])]
+
+
+def zigzag(balls):
+    """Lowest, highest, second lowest, second highest, ... of balls."""
+    low, high = sorted(balls), sorted(balls, reverse=True)
+    return [b for pair in zip(low, high) for b in pair][: len(balls)]
+
+
+# Shapes that take the array union-find several hook or pointer-jump rounds:
+# long chains of equal records in descending and alternating ball order, and
+# stars centred on the highest ball, on the odd and the even balls of 1..64.
+ODD, EVEN = list(range(63, 0, -2)), list(range(64, 0, -2))
+DESCENDING_CHAINS = equal_chain(ODD) + equal_chain(EVEN) + [rec(1, 2, False), rec(63, 64, False)]
+ZIGZAG_CHAINS = equal_chain(zigzag(ODD)) + equal_chain(zigzag(EVEN)) + [rec(33, 2, False)]
+STARS = [rec(64, b, True) for b in EVEN[1:]] + [rec(63, b, True) for b in ODD[1:]]
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(case=small_transcripts())
+@example(case=(64, DESCENDING_CHAINS))
+@example(case=(64, ZIGZAG_CHAINS))
+@example(case=(64, STARS + [rec(1, 64, False)]))
+@example(case=(64, STARS + [rec(2, 64, False)]))
 def test_eq_structure_matches_naive_components(case):
     # Naive reference: merge components by relabelling every ball, then a
     # conflict is any unequal record joining two components.
@@ -81,6 +109,22 @@ def test_eq_structure_matches_naive_components(case):
         for y in balls:
             assert eq.same_class(x, y) == (comp[x] == comp[y])
             assert eq.provably_unequal(x, y) == (frozenset((comp[x], comp[y])) in conflicts)
+
+
+def test_auditor_imports_nothing_from_the_solvers():
+    # The auditor must stay independent of the code it audits.
+    import majoritylab.certify as certify
+
+    tree = ast.parse(Path(certify.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"randomized", "boyer_moore", "bench", "lowerbound"}, imported
 
 
 def test_inconsistent_transcript_raises():
@@ -167,6 +211,12 @@ def test_no_majority_triangle_certificate():
     # missing one edge: not a proven rainbow
     eq2 = build_eq_structure(3, [rec(1, 2, False), rec(1, 3, False)])
     assert not check_no_majority_claim(eq2, cert, 3).accepted
+
+
+def test_no_majority_rejects_a_ball_beyond_int64():
+    eq = build_eq_structure(4, [rec(1, 2, False), rec(3, 4, False)])
+    res = check_no_majority_claim(eq, Certificate(pairs=((1, 2), (3, 2**70))), 4)
+    assert not res.accepted and "out of range" in res.reason
 
 
 def test_no_majority_checks_every_ball_of_a_unit():
@@ -373,3 +423,77 @@ def test_accepted_claims_are_true(colors, use_baseline, seed, kind, index, ball,
         assert answer_matches_brute_force(claim, inst), (claim, claim_cert, colors)
     if kind == "none":
         assert accepted
+
+
+@st.composite
+def audit_cases(draw):
+    """A transcript true of a hidden 3-coloring (plus, sometimes, one
+    arbitrary record), and a claim on it: a majority answer, or a
+    no-majority certificate built from the unequal records and then edited
+    to be malformed in one of the ways a certificate can be."""
+    n = draw(st.integers(1, 9))
+    colors = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ball = st.integers(1, n)
+    any_ball = st.integers(-1, n + 2)
+    compared = draw(st.lists(st.tuples(ball, ball), max_size=24))
+    w = draw(ball)
+    if draw(st.booleans()):  # a census around one ball, perhaps missing one
+        skip = draw(st.integers(0, n))
+        compared += [(w, b) for b in range(1, n + 1) if b != skip]
+    if draw(st.booleans()):  # every pair of three balls, for a triangle
+        tri = draw(st.lists(ball, min_size=3, max_size=3, unique=True)) if n >= 3 else []
+        compared += [(a, b) for i, a in enumerate(tri) for b in tri[i + 1 :]]
+    transcript = [rec(a, b, colors[a - 1] == colors[b - 1]) for a, b in compared]
+    if draw(st.integers(0, 3)) == 0:
+        transcript.append(draw(st.builds(rec, ball, ball, st.booleans())))
+    transcript = draw(st.permutations(transcript))
+
+    if draw(st.booleans()):
+        witness = draw(st.one_of(st.just(w), any_ball))
+        try:  # the proven size of the witness's class passes the size checks
+            size = reference_auditor.build_eq_structure(n, transcript).class_size(witness)
+        except (InconsistentTranscript, IndexError):
+            size = n
+        mult = draw(st.one_of(st.just(size), st.integers(0, n + 1)))
+        return n, transcript, Answer.majority(witness, mult), None
+
+    units = list(matching_of_unequal_records(transcript).pairs)
+    unequal = {(r.left, r.right) for r in transcript if not r.equal}
+    triangle = None
+    if draw(st.booleans()):
+        triangle = tuple(draw(st.lists(ball, min_size=3, max_size=3)))
+        if draw(st.booleans()):  # a triple whose pairs were all compared
+            found = [
+                (a, b, c)
+                for a in range(1, n + 1)
+                for b in range(1, n + 1)
+                for c in range(1, n + 1)
+                if {(a, b), (a, c), (b, c)} <= unequal
+            ]
+            triangle = draw(st.sampled_from(found)) if found else triangle
+        units = [u for u in units if not set(u) & set(triangle)]
+    edit = draw(st.sampled_from(("none", "drop", "swap", "add", "grow", "shrink")))
+    if edit == "drop" and units:
+        del units[draw(st.integers(0, len(units) - 1))]
+    elif edit == "swap" and units:  # a ball out of range, covered twice or unproven
+        i = draw(st.integers(0, len(units) - 1))
+        unit = list(units[i])
+        unit[draw(st.integers(0, 1))] = draw(any_ball)
+        units[i] = tuple(unit)
+    elif edit == "add":
+        units.insert(draw(st.integers(0, len(units))), (draw(any_ball), draw(any_ball)))
+    elif edit == "grow" and triangle is not None:
+        triangle += (draw(any_ball),)
+    elif edit == "shrink" and triangle is not None:
+        triangle = triangle[:2]
+    candidate = draw(st.one_of(st.none(), ball, any_ball))
+    return n, transcript, Answer.no_majority(), Certificate(tuple(units), triangle, candidate)
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(case=audit_cases())
+def test_array_auditor_matches_loop_auditor(case):
+    # Same verdict and the same first-failure reason as the loop auditor.
+    n, transcript, answer, cert = case
+    expected = reference_auditor.verify_run(n, transcript, answer, cert)
+    assert verify_run(n, transcript, answer, cert) == expected
