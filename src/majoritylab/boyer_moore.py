@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .answers import Answer, Certificate, ContractViolation
 from .core import CountingOracle
 
@@ -42,7 +44,9 @@ def boyer_moore(
     candidate = balls[0]
     counter = 1
     stack = [balls[0]]  # unmatched balls of the current candidate's class
-    cancelled: list[tuple[int, int]] = []
+    # cancelled pairs as two flat columns: a class ball and the ball that cancelled it
+    lefts: list[int] = []
+    rights: list[int] = []
     for b in balls[1:]:
         if counter == 0:
             candidate = b
@@ -53,7 +57,8 @@ def boyer_moore(
             stack.append(b)
         else:
             counter -= 1
-            cancelled.append((stack.pop(), b))
+            lefts.append(stack.pop())
+            rights.append(b)
 
     count = 1
     for b in balls:
@@ -68,4 +73,5 @@ def boyer_moore(
 
     if count > m // 2:
         return Answer.majority(candidate, count), None
-    return Answer.no_majority(), Certificate(pairs=tuple(cancelled), candidate=candidate)
+    pairs = np.array((lefts, rights), dtype=np.int64).T
+    return Answer.no_majority(), Certificate(pairs=pairs, candidate=candidate)

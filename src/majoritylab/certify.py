@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -199,46 +198,45 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
 
     Each unit (a pair, or the triangle) must lie in range, share no ball
     with another unit and be provably unequal in every pair of its balls,
-    so it holds at most one ball of any color.  The balls of all units are
-    checked as one array; a rejection names the failure a ball-by-ball walk
-    of the certificate meets first.
+    so it holds at most one ball of any color.  The pairs are checked as
+    one array, key column against key column, and the triangle by one
+    lookup per edge; a rejection names the failure a ball-by-ball walk of
+    the certificate meets first.
     """
     half = n // 2
-    units = (*cert.pairs, cert.triangle) if cert.triangle is not None else tuple(cert.pairs)
-    sizes = np.fromiter(map(len, units), dtype=np.int64, count=len(units))
-    try:
-        balls = np.fromiter(chain.from_iterable(units), dtype=np.int64)
-    except OverflowError:
-        return CheckResult(False, "a ball of a unit is out of range")
-    owner = np.arange(len(units)).repeat(sizes)  # the unit of each ball
-
-    inside = (balls >= 1) & (balls <= n)
-    safe = balls * inside  # out-of-range balls become ball 0
+    units = cert.units()
+    tri = np.array([b if 1 <= b <= n else 0 for b in cert.triangle or ()], dtype=np.int64)
+    flat = cert.pairs.ravel()
+    inside = np.concatenate(((flat >= 1) & (flat <= n), tri > 0))
+    safe = np.concatenate((flat, tri)) * inside  # out-of-range balls become ball 0
     cover = np.bincount(safe, minlength=n + 1)
     cover[0] = 1  # ball 0 is never free, and out-of-range balls fail the range check
     labels = eq.label[safe]
-    # checks[d - 1] tests each ball against the ball d places before it in its unit
-    checks = []
-    for d in range(1, np.maximum.reduce(sizes, initial=0)):
-        paired = owner[d:] == owner[:-d]
-        a, b = labels[d:][paired], labels[:-d][paired]
-        key = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
-        proven = eq.keys[eq.keys.searchsorted(key)] == key
-        checks.append((paired, proven))
+    base = len(flat)  # where the triangle's balls start
+    first, second = labels[0:base:2], labels[1:base:2]
+    key = np.minimum(first, second) * (n + 1) + np.maximum(first, second)
+    # Ascending needles let each binary search start from the one before.
+    ascending = np.sort(key)
+    # back[i]: how far before triangle ball i its first unproven partner sits
+    back = [
+        next((i - j for j in range(i) if not eq.provably_unequal(tri[j], tri[i])), 0)
+        for i in range(len(tri))
+    ]
     if (
-        np.count_nonzero(inside) < len(balls)
-        or np.count_nonzero(cover) <= len(balls)  # some ball covered twice
-        or any(np.count_nonzero(proven) < len(proven) for _, proven in checks)
+        np.count_nonzero(inside) < len(safe)
+        or np.count_nonzero(cover) <= len(safe)  # some ball covered twice
+        or np.count_nonzero(eq.keys[eq.keys.searchsorted(ascending)] != ascending)
+        or any(back)
     ):
-        return CheckResult(False, _first_unit_failure(units, safe, owner, inside, checks))
+        return CheckResult(False, _first_unit_failure(eq, cert, safe, inside, key, back))
     free = cover == 0
 
     if cert.candidate is None:
         # Pure matching certificate: every color hits each unit at most once
         # and may own every uncovered ball.
-        uncovered = n - len(balls)
-        if len(units) + uncovered > half:
-            return CheckResult(False, f"{len(units)} units + {uncovered} uncovered exceeds {half}")
+        uncovered = n - len(safe)
+        if units + uncovered > half:
+            return CheckResult(False, f"{units} units + {uncovered} uncovered exceeds {half}")
         return CheckResult(True)
 
     v = cert.candidate
@@ -252,17 +250,18 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
     # any uncovered ball not pinned to the candidate class.
     loose_balls = free & (eq.label != lv)
     loose = np.count_nonzero(loose_balls)
-    if len(units) + loose > half:
-        return CheckResult(False, f"non-candidate bound fails: {len(units)} units + {loose} loose")
+    if units + loose > half:
+        return CheckResult(False, f"non-candidate bound fails: {units} units + {loose} loose")
 
     # (b) caps the candidate's color: proven class members, plus units that
     # might be hiding one more, plus unresolved uncovered balls.  A unit is
     # suspicious when one of its balls is unresolved and none is pinned.
     class_size = int(eq.size[lv])
-    suspect = np.zeros(len(units), dtype=bool)
-    suspect[owner[~rival[labels]]] = True
-    suspect[owner[labels == lv]] = False
-    suspicious = np.count_nonzero(suspect)
+    suspect = ~(rival[first] & rival[second]) & (first != lv) & (second != lv)
+    corner = labels[base:]
+    suspicious = np.count_nonzero(suspect) + (
+        cert.triangle is not None and not (corner == lv).any() and not rival[corner].all()
+    )
     unresolved = np.count_nonzero(loose_balls & ~rival[eq.label])
     if class_size + suspicious + unresolved > half:
         return CheckResult(
@@ -273,7 +272,7 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
     return CheckResult(True)
 
 
-def _first_unit_failure(units, safe, owner, inside, checks) -> str:
+def _first_unit_failure(eq, cert, safe, inside, key, back) -> str:
     """The first failed unit check in certificate order, ball by ball.
 
     At each ball a walk checks its range, then that no earlier ball is the
@@ -284,12 +283,15 @@ def _first_unit_failure(units, safe, owner, inside, checks) -> str:
     _, first = np.unique(safe, return_index=True)
     repeated = inside.copy()
     repeated[first] = False
-    unproven = np.zeros(len(safe), dtype=np.int64)  # largest failing distance back
-    for d, (paired, proven) in enumerate(checks, start=1):
-        unproven[paired.nonzero()[0][~proven] + d] = d
+    base = 2 * len(cert.pairs)
+    unproven = np.zeros(len(safe), dtype=np.int64)  # distance back to the first unproven partner
+    unproven[1:base:2] = eq.keys[eq.keys.searchsorted(key)] != key
+    unproven[base:] = back
     j = int((~inside | repeated | (unproven > 0)).nonzero()[0][0])
-    u = int(owner[j])
-    unit, i = units[u], j - int(owner.searchsorted(u))
+    if j < base:
+        unit, i = tuple(cert.pairs[j // 2].tolist()), j % 2
+    else:
+        unit, i = cert.triangle, j - base
     ball = unit[i]
     if not inside[j]:
         return f"ball {ball} of unit {unit} out of range"

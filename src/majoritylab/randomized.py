@@ -12,7 +12,9 @@ it, and when it falls short, finish the no-majority certificate by pairing
 off the rest.  ``estimate_frequencies`` is the sampler a dispatching level
 would build on.
 
-Balls travel between levels as int64 arrays.  The pairing and heavy's
+Balls travel between levels as int64 arrays, and certificates carry their
+pairs as one ``(k, 2)`` int64 array that every producer builds by stacking
+columns, in the pair order the leftover probe walks.  The pairing and heavy's
 census are one ``CountingOracle.cmp_many`` batch each.  The deficit scan
 and heavy's pair scan are one ``CountingOracle.scan_until`` call each,
 which bills exactly the comparisons of the pair-by-pair scan and stops
@@ -172,10 +174,6 @@ class _Run:
         return self._np_gen.permutation(balls)
 
 
-def _pairs(firsts: np.ndarray, seconds: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple(zip(firsts.tolist(), seconds.tolist()))
-
-
 def _pair_up(run: _Run, balls: np.ndarray):
     """Shuffle and compare disjoint pairs; exactly len(balls)//2 comparisons.
 
@@ -218,12 +216,13 @@ def _resolve_leftover(
     half = m // 2
     klass = {leftover}
     excluded: set[int] = set()
-    covered = set(cert.covered_balls())
-    keep = (balls != leftover) & ~np.isin(balls, list(covered))
+    covered = cert.pairs.ravel()
+    keep = (balls != leftover) & ~np.isin(balls, covered)
     if cert.candidate is not None:
         keep &= balls != cert.candidate
     uncovered = balls[keep].tolist()
-    potential = 1 + len(cert.pairs) + len(uncovered)
+    pairs = cert.pairs.tolist()
+    potential = 1 + len(pairs) + len(uncovered)
     if cert.candidate is not None:
         # Resolving leftover-versus-candidate up front keeps the candidate's
         # uncovered budget tight if the certificate is reused below.
@@ -234,9 +233,8 @@ def _resolve_leftover(
             excluded.add(cert.candidate)
             potential -= 1
 
-    pairs = cert.pairs
     triangle: tuple[int, int, int] | None = None
-    kept: list[tuple[int, int]] = []
+    row = 0  # the pair that the triangle replaces
     i = 0
     while i < len(pairs) and len(klass) <= half and potential > half:
         a, b = pairs[i]
@@ -244,18 +242,15 @@ def _resolve_leftover(
         if oracle.cmp(leftover, a):
             klass.add(a)
             excluded.add(b)
-            kept.append((a, b))
         elif oracle.cmp(leftover, b):
             klass.add(b)
             excluded.add(a)
-            kept.append((a, b))
         else:
             excluded.update((a, b))
             potential -= 1
             if triangle is None:
                 triangle = (leftover, a, b)
-            else:
-                kept.append((a, b))
+                row = i - 1
 
     # Without a triangle the leftover stays uncovered, and only the full
     # probe sweep plus the anchor arithmetic below yields a checkable
@@ -292,14 +287,16 @@ def _resolve_leftover(
 
     if triangle is not None:
         return Answer.no_majority(), Certificate(
-            pairs=tuple(kept) + pairs[i:], triangle=triangle, candidate=cert.candidate
+            pairs=np.concatenate((cert.pairs[:row], cert.pairs[row + 1 :])),
+            triangle=triangle,
+            candidate=cert.candidate,
         )
 
     # Every pair absorbed a probe, so a certificate anchored at the leftover
     # is valid whenever its uncovered budget holds; otherwise the inherited
     # candidate's certificate is (provably) the one with slack.
-    sigma = sum(1 for b in excluded if b not in covered)
-    if len(cert.pairs) + sigma <= m // 2:
+    sigma = np.count_nonzero(~np.isin(np.fromiter(excluded, np.int64, len(excluded)), covered))
+    if len(pairs) + sigma <= m // 2:
         anchor = leftover
     elif cert.candidate is not None:
         anchor = cert.candidate
@@ -308,21 +305,25 @@ def _resolve_leftover(
     return Answer.no_majority(), Certificate(pairs=cert.pairs, candidate=anchor)
 
 
-def _lift_certificate(cert: Certificate, partner: dict[int, int]) -> Certificate:
+def _lift_certificate(cert: Certificate, survivors: np.ndarray, mates: np.ndarray) -> Certificate:
     """Map a survivor-level certificate back to the balls of the level.
 
-    Each survivor x stands for the equal pair (x, partner[x]).  A certified
-    pair (a, b) therefore yields the mirror pair (partner[a], partner[b])
-    for free, and a certified triangle yields three cross pairs covering
-    all six balls, so the lifted certificate never carries a triangle.
+    Each survivor x stands for the equal pair (x, partner[x]), where
+    ``partner`` maps survivors to their mates.  A certified pair (a, b)
+    therefore yields the mirror pair (partner[a], partner[b]) right after
+    it, for free, and a certified triangle yields three cross pairs covering
+    all six balls, placed last, so the lifted certificate never carries a
+    triangle.
     """
-    pairs: list[tuple[int, int]] = []
-    for a, b in cert.pairs:
-        pairs.extend(((a, b), (partner[a], partner[b])))
+    partner = np.zeros(int(survivors.max(initial=0)) + 1, dtype=np.int64)
+    partner[survivors] = mates
+    # Row i of the concatenation is (a, b, partner[a], partner[b]).
+    pairs = np.concatenate((cert.pairs, partner[cert.pairs]), axis=1).reshape(-1, 2)
     if cert.triangle is not None:
         t1, t2, t3 = cert.triangle
-        pairs.extend(((t1, partner[t2]), (t2, partner[t3]), (t3, partner[t1])))
-    return Certificate(pairs=tuple(pairs), candidate=cert.candidate)
+        cross = ((t1, partner[t2]), (t2, partner[t3]), (t3, partner[t1]))
+        pairs = np.concatenate((pairs, cross))
+    return Certificate(pairs=pairs, candidate=cert.candidate)
 
 
 def _finish_no_majority(
@@ -336,8 +337,9 @@ def _finish_no_majority(
     leftover: int | None,
 ) -> tuple[Answer, Certificate | None]:
     """Lift a survivor-level certificate back to the full level."""
-    lifted = _lift_certificate(sub_cert, dict(zip(survivors.tolist(), mates.tolist())))
-    cert = Certificate(pairs=_pairs(*unequal) + lifted.pairs, candidate=lifted.candidate)
+    lifted = _lift_certificate(sub_cert, survivors, mates)
+    pairs = np.concatenate((np.column_stack(unequal), lifted.pairs))
+    cert = Certificate(pairs=pairs, candidate=lifted.candidate)
     if leftover is None:
         return Answer.no_majority(), cert
     return _resolve_leftover(run, lv, balls, leftover, cert, len(balls))
@@ -355,7 +357,7 @@ def _deficit_scan(
     """
     cnt -= int(np.count_nonzero(oracle.scan_until(v, *unequal, cnt)))
     if cnt == 0:
-        return Answer.no_majority(), Certificate(pairs=_pairs(*unequal), candidate=v)
+        return Answer.no_majority(), Certificate(pairs=np.column_stack(unequal), candidate=v)
     return Answer.majority(v, m // 2 + cnt), None
 
 
@@ -407,17 +409,17 @@ def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]
 
 def _unequal_pairs(
     oracle: CountingOracle, order: np.ndarray, need: int
-) -> list[tuple[int, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Compare the disjoint pairs of ``order`` until ``need`` are unequal.
 
-    Returns the unequal pairs found, fewer than ``need`` only when the
-    pairs run out.
+    Returns the (firsts, seconds) columns of the unequal pairs found, fewer
+    than ``need`` only when the pairs run out.
     """
     half = len(order) // 2
     firsts, seconds = order[0 : 2 * half : 2], order[1 : 2 * half : 2]
     unequal = oracle.scan_until(None, firsts, seconds, need)
     walked = len(unequal)
-    return list(_pairs(firsts[:walked][unequal], seconds[:walked][unequal]))
+    return firsts[:walked][unequal], seconds[:walked][unequal]
 
 
 def _heavy(run: _Run, balls: np.ndarray, candidate: int) -> tuple[Answer, Certificate | None]:
@@ -443,18 +445,17 @@ def _heavy(run: _Run, balls: np.ndarray, candidate: int) -> tuple[Answer, Certif
     # found among the others frees two cover slots.  Needing zero pairs
     # (even m, census exactly half) closes immediately with cross pairs.
     need = m // 2 - cnt + (1 if m % 2 else 0)
-    klass = [candidate] + mates.tolist()
+    klass = np.concatenate(([candidate], mates))
     if need == 0:
-        pairs = tuple(zip(others.tolist(), klass))
-        if len(pairs) != m // 2:
+        if not len(others) == len(klass) == m // 2:
             raise ContractViolation("census cross pairs do not cover the level")
-        return Answer.no_majority(), Certificate(pairs=pairs)
+        return Answer.no_majority(), Certificate(pairs=np.column_stack((others, klass)))
 
     start = oracle.comparisons
-    found = _unequal_pairs(oracle, run.permuted(others), need)
+    firsts, seconds = _unequal_pairs(oracle, run.permuted(others), need)
     lv.pairing_comparisons = oracle.comparisons - start
 
-    if len(found) < need:
+    if len(firsts) < need:
         # Unlucky pair scan; rerun the deterministic baseline on the whole
         # level.  Rare by construction and still within the comparison cap.
         start = oracle.comparisons
@@ -462,14 +463,14 @@ def _heavy(run: _Run, balls: np.ndarray, candidate: int) -> tuple[Answer, Certif
         lv.fallback_comparisons = oracle.comparisons - start
         return answer, cert
 
-    rest = others[~np.isin(others, [b for pair in found for b in pair])].tolist()
+    rest = others[~np.isin(others, np.concatenate((firsts, seconds)))]
     triangle = None
     if m % 2:
-        a, b = found.pop()
-        triangle = (a, b, klass.pop())
+        triangle = (int(firsts[-1]), int(seconds[-1]), int(klass[-1]))
+        firsts, seconds, klass = firsts[:-1], seconds[:-1], klass[:-1]
     if len(rest) != len(klass):
         raise ContractViolation("census leftovers and class balls do not pair up")
-    pairs = tuple(found) + tuple(zip(rest, klass))
+    pairs = np.column_stack((np.concatenate((firsts, rest)), np.concatenate((seconds, klass))))
     return Answer.no_majority(), Certificate(pairs=pairs, triangle=triangle)
 
 

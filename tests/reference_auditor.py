@@ -111,7 +111,7 @@ def check_majority_claim(eq: LoopEqStructure, answer: Answer, n: int) -> CheckRe
 
 def check_no_majority_claim(eq: LoopEqStructure, cert: Certificate, n: int) -> CheckResult:
     half = n // 2
-    units: list[tuple[int, ...]] = list(cert.pairs)
+    units: list[tuple[int, ...]] = [tuple(pair) for pair in cert.pairs.tolist()]
     if cert.triangle is not None:
         units.append(cert.triangle)
     covered: set[int] = set()

@@ -373,7 +373,7 @@ def mutate(answer: Answer, cert: Certificate | None, inst: Instance, rng: Random
 
     # weight toward answer flips so the mix produces enough outright lies
     kinds = ["drop_pair", "swap_ball", "dup_ball", "retarget", "strip_candidate"]
-    if not cert.pairs or rng.bernoulli(0.35):
+    if not len(cert.pairs) or rng.bernoulli(0.35):
         kind = "flip"
     else:
         kind = kinds[rng.randrange(len(kinds))]

@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -213,10 +214,43 @@ def test_no_majority_triangle_certificate():
     assert not check_no_majority_claim(eq2, cert, 3).accepted
 
 
+def test_certificate_pairs_are_one_read_only_int64_table():
+    pairs = [(1, 2), (3, 4)]
+    cert = Certificate(pairs=pairs)
+    assert cert.pairs.dtype == np.int64 and cert.pairs.shape == (2, 2)
+    assert cert.pairs.tolist() == [[1, 2], [3, 4]]
+    with pytest.raises(ValueError):
+        cert.pairs[0, 0] = 5
+    pairs[0] = (7, 8)  # the certificate holds its own copy
+    assert cert.pairs.tolist() == [[1, 2], [3, 4]]
+    assert Certificate(cert.pairs).pairs is cert.pairs  # a read-only table is shared
+    assert Certificate().pairs.shape == (0, 2) and Certificate().units() == 0
+    assert Certificate(pairs=pairs, triangle=(5, 6, 9)).units() == 3
+
+
+def test_certificate_equality_compares_the_tables():
+    assert Certificate() == Certificate()
+    assert Certificate(((1, 2),), candidate=3) == Certificate(np.array([[1, 2]]), candidate=3)
+    assert Certificate(((1, 2),)) != Certificate(((2, 1),))
+    assert Certificate(((1, 2),)) != Certificate(((1, 2), (3, 4)))
+    assert Certificate(((1, 2),)) != Certificate(((1, 2),), candidate=1)
+    assert Certificate() != Certificate(triangle=(1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [((1, 2, 3),), ((1,),), ((1, 2), (3,)), (1, 2), [[]], np.zeros((2, 2, 2))],
+    ids=["width-3", "width-1", "ragged", "flat", "empty-row", "three-axes"],
+)
+def test_certificate_rejects_pairs_that_are_not_a_k_by_2_table(pairs):
+    with pytest.raises(ValueError):
+        Certificate(pairs=pairs)
+
+
 def test_no_majority_rejects_a_ball_beyond_int64():
-    eq = build_eq_structure(4, [rec(1, 2, False), rec(3, 4, False)])
-    res = check_no_majority_claim(eq, Certificate(pairs=((1, 2), (3, 2**70))), 4)
-    assert not res.accepted and "out of range" in res.reason
+    # A certificate that cannot be built cannot be accepted.
+    with pytest.raises(ValueError, match="beyond int64"):
+        Certificate(pairs=((1, 2), (3, 2**70)))
 
 
 def test_no_majority_checks_every_ball_of_a_unit():
@@ -374,7 +408,7 @@ def perturbed_claim(answer, cert, transcript, kind, index, ball, delta, n):
         answer, cert = Answer.no_majority(), matching_of_unequal_records(transcript)
         cert = Certificate(cert.pairs, candidate=witness)
     units = [*cert.pairs] + ([cert.triangle] if cert.triangle is not None else [])
-    if kind == "drop_pair" and cert.pairs:
+    if kind == "drop_pair" and len(cert.pairs):
         pairs = list(cert.pairs)
         del pairs[index % len(pairs)]
         return answer, Certificate(tuple(pairs), cert.triangle, cert.candidate)

@@ -17,9 +17,11 @@ from majoritylab import (
     ContractViolation,
     CountingOracle,
     Instance,
+    LevelStats,
     Params,
     RandomStream,
     RunStats,
+    boyer_moore,
     estimate_frequencies,
     generate,
     heavy,
@@ -28,7 +30,13 @@ from majoritylab import (
 )
 
 from majoritylab import randomized
-from majoritylab.randomized import _deficit_scan, _lift_certificate, _unequal_pairs
+from majoritylab.randomized import (
+    _deficit_scan,
+    _lift_certificate,
+    _resolve_leftover,
+    _unequal_pairs,
+)
+import reference_certificates
 from support import all_colorings, assert_run_ok, run_randomized
 
 
@@ -199,17 +207,176 @@ def test_heavy_minority_candidate_still_exact():
 
 def test_lift_doubles_pairs_through_partners():
     cert = Certificate(pairs=((2, 4),), candidate=2)
-    lifted = _lift_certificate(cert, {2: 1, 4: 3})
-    assert lifted.pairs == ((2, 4), (1, 3))
+    lifted = _lift_certificate(cert, np.array([2, 4]), np.array([1, 3]))
+    assert lifted.pairs.tolist() == [[2, 4], [1, 3]]
     assert lifted.candidate == 2
 
 
 def test_lift_triangle_to_cross_pairs():
     cert = Certificate(triangle=(2, 4, 6))
-    lifted = _lift_certificate(cert, {2: 1, 4: 3, 6: 5})
+    lifted = _lift_certificate(cert, np.array([2, 4, 6]), np.array([1, 3, 5]))
     assert lifted.triangle is None
-    assert sorted(lifted.pairs) == [(2, 3), (4, 5), (6, 1)]
-    assert sorted(lifted.covered_balls()) == [1, 2, 3, 4, 5, 6]
+    assert sorted(lifted.pairs.tolist()) == [[2, 3], [4, 5], [6, 1]]
+    assert sorted(lifted.pairs.ravel().tolist()) == [1, 2, 3, 4, 5, 6]
+
+
+@st.composite
+def survivor_levels(draw):
+    """A level of s survivors, their s mates, u unequal pairs and perhaps a
+    leftover, colored at random, with a survivor certificate: disjoint
+    pairs, perhaps a triangle, perhaps a candidate."""
+    s = draw(st.integers(0, 9))
+    u = draw(st.integers(0, 3))
+    odd = draw(st.booleans())
+    total = 2 * s + 2 * u + odd
+    ids = draw(st.permutations(range(1, total + 1)))
+    survivors, mates, unequal = ids[:s], ids[s : 2 * s], ids[2 * s : 2 * s + 2 * u]
+    order = draw(st.permutations(survivors))
+    triangle = tuple(order[:3]) if s >= 3 and draw(st.booleans()) else None
+    rest = order[3:] if triangle else order
+    k = draw(st.integers(0, len(rest) // 2))
+    pairs = [(rest[2 * i], rest[2 * i + 1]) for i in range(k)]
+    candidate = draw(st.sampled_from(survivors)) if s and draw(st.booleans()) else None
+    colors = draw(st.lists(st.integers(1, 3), min_size=total, max_size=total))
+    return {
+        "colors": colors,
+        "balls": list(ids),
+        "survivors": survivors,
+        "mates": mates,
+        "unequal": list(zip(unequal[0::2], unequal[1::2])),
+        "leftover": ids[-1] if odd else None,
+        "pairs": pairs,
+        "triangle": triangle,
+        "candidate": candidate,
+    }
+
+
+def settle(resolve):
+    try:
+        return resolve()
+    except ContractViolation as exc:
+        return f"ContractViolation: {exc}"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(level=survivor_levels())
+# no triangle and no majority: the certificate is re-anchored at the candidate
+@example(
+    level={
+        "colors": [3, 2, 1],
+        "balls": [1, 2, 3],
+        "survivors": [1],
+        "mates": [2],
+        "unequal": [],
+        "leftover": 3,
+        "pairs": [],
+        "triangle": None,
+        "candidate": 1,
+    }
+)
+def test_array_lift_matches_tuple_lift(level):
+    # The lift keeps the tuple lift's pair order, and the leftover probe,
+    # which walks the pairs in that order, bills and records the same
+    # comparisons as the tuple resolution.
+    sub = Certificate(level["pairs"], level["triangle"], level["candidate"])
+    survivors = np.array(level["survivors"], dtype=np.int64)
+    mates = np.array(level["mates"], dtype=np.int64)
+    lifted = _lift_certificate(sub, survivors, mates)
+    expected = reference_certificates.lift_certificate(
+        level["pairs"], level["triangle"], dict(zip(level["survivors"], level["mates"]))
+    )
+    assert lifted.pairs.tolist() == [list(pair) for pair in expected]
+    assert lifted.triangle is None and lifted.candidate == level["candidate"]
+
+    leftover = level["leftover"]
+    if leftover is None:
+        return
+    m = len(level["balls"])
+    inst = Instance(tuple(level["colors"]))
+    oracle = CountingOracle(inst, record_transcript=True)
+    scalar = CountingOracle(inst, record_transcript=True)
+    pairs = np.concatenate((np.reshape(level["unequal"], (-1, 2)), lifted.pairs))
+    cert = Certificate(pairs, None, lifted.candidate)
+    run = randomized._Run(oracle, Params(), RandomStream(0))
+    lv = LevelStats("balanced", m)
+    got = settle(lambda: _resolve_leftover(run, lv, np.array(level["balls"]), leftover, cert, m))
+    want = settle(
+        lambda: reference_certificates.resolve_leftover(
+            scalar, level["balls"], leftover, tuple(level["unequal"]) + expected, lifted.candidate, m
+        )
+    )
+    if isinstance(want, tuple):
+        answer, pairs, triangle, candidate = want
+        want = (answer, None if pairs is None else Certificate(pairs, triangle, candidate))
+    assert got == want
+    assert oracle.comparisons == scalar.comparisons == lv.leftover_comparisons
+    assert list(oracle.transcript) == list(scalar.transcript)
+
+
+def _majority_run(spec, n, seed):
+    inst = generate(spec, n, RandomStream(seed, spec))
+    oracle = CountingOracle(inst, record_transcript=True)
+    answer, cert, stats = majority(oracle, params=Params(cutoff=8), rng=RandomStream(seed))
+    return oracle, answer, cert, stats
+
+
+def _heavy_run(colors, seed=0):
+    oracle = CountingOracle(Instance(colors), record_transcript=True)
+    answer, cert, stats = heavy(oracle, 1, params=Params(cutoff=2), rng=RandomStream(seed))
+    return oracle, answer, cert, stats
+
+
+def _boyer_moore_run(colors):
+    oracle = CountingOracle(Instance(colors), record_transcript=True)
+    answer, cert = boyer_moore(oracle)
+    return oracle, answer, cert, None
+
+
+# Each producer with a check that the run took its path.
+PRODUCERS = {
+    "majority-deficit-scan": (
+        lambda: _majority_run("profile:0.48,rest=100", 300, 0),
+        lambda cert, stats: stats.levels[0].scan_comparisons > 0
+        and len(cert.pairs) == stats.levels[0].y_pairs,
+    ),
+    "majority-lifted": (
+        lambda: _majority_run("profile:0.5,0.5", 300, 0),
+        lambda cert, stats: stats.levels[0].scan_comparisons == 0
+        and len(cert.pairs) > stats.levels[0].y_pairs,
+    ),
+    "majority-odd-leftover": (
+        lambda: _majority_run("uniform:k=3", 301, 1),
+        lambda cert, stats: stats.levels[0].scan_comparisons == 0
+        and stats.levels[0].leftover_comparisons > 0,
+    ),
+    "heavy-cross-pairs": (
+        lambda: _heavy_run((1, 2, 1, 2, 2, 1)),
+        lambda cert, stats: stats.levels[0].pairing_comparisons == 0 and len(cert.pairs) == 3,
+    ),
+    "heavy-triangle": (
+        lambda: _heavy_run((1, 2, 1, 3, 4)),
+        lambda cert, stats: cert.triangle is not None,
+    ),
+    "heavy-fallback": (
+        lambda: _heavy_run((1, 2, 2, 2, 2, 2, 3, 3, 3, 3)),
+        lambda cert, stats: "fallback" in stats.branch_trace,
+    ),
+    "boyer-moore": (
+        lambda: _boyer_moore_run((1, 2, 3, 1, 2, 3, 4)),
+        lambda cert, stats: True,
+    ),
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_every_producer_returns_int64_pairs_the_auditor_accepts(producer):
+    solve, took_path = PRODUCERS[producer]
+    oracle, answer, cert, stats = solve()
+    assert not answer.is_majority
+    assert took_path(cert, stats)
+    assert cert.pairs.dtype == np.int64 and cert.pairs.shape == (len(cert.pairs), 2)
+    assert len(cert.pairs) and not cert.pairs.flags.writeable
+    assert verify_run(oracle.instance.n, oracle.transcript, answer, cert).accepted
 
 
 def test_light_on_fragmented_input():
@@ -390,7 +557,7 @@ def test_pair_scan_matches_scalar_reference(case):
     oracle = CountingOracle(inst, record_transcript=True)
     scalar = CountingOracle(inst, record_transcript=True)
     got = _unequal_pairs(oracle, order, need)
-    assert got == scalar_unequal_pairs(scalar, order.tolist(), need)
+    assert pairs_of(got) == scalar_unequal_pairs(scalar, order.tolist(), need)
     assert oracle.comparisons == scalar.comparisons
     assert list(oracle.transcript) == list(scalar.transcript)
 
@@ -400,7 +567,7 @@ def _scalar_scan(oracle, v, cnt, unequal, m):
 
 
 def _scalar_pairs(oracle, order, need):
-    return scalar_unequal_pairs(oracle, order.tolist(), need)
+    return columns(scalar_unequal_pairs(oracle, order.tolist(), need))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
