@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_certificates
+
 from majoritylab import (
     Answer,
     Certificate,
@@ -36,7 +38,6 @@ from majoritylab.randomized import (
     _resolve_leftover,
     _unequal_pairs,
 )
-import reference_certificates
 from support import all_colorings, assert_run_ok, run_randomized
 
 
@@ -295,7 +296,8 @@ def test_array_lift_matches_tuple_lift(level):
     inst = Instance(tuple(level["colors"]))
     oracle = CountingOracle(inst, record_transcript=True)
     scalar = CountingOracle(inst, record_transcript=True)
-    pairs = np.concatenate((np.reshape(level["unequal"], (-1, 2)), lifted.pairs))
+    unequal = np.array(level["unequal"], dtype=np.int64).reshape(-1, 2)
+    pairs = np.concatenate((unequal, lifted.pairs))
     cert = Certificate(pairs, None, lifted.candidate)
     run = randomized._Run(oracle, Params(), RandomStream(0))
     lv = LevelStats("balanced", m)
