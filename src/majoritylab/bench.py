@@ -45,7 +45,6 @@ __all__ = [
 
 ALGORITHMS = ("rand-majority", "boyer-moore")
 CSV_VERSION = "majoritylab-csv v1"
-FULL_CHECK_LIMIT = 1 << 20  # ground truth is checked on every trial up to here
 _COLUMNS = (
     "n",
     "trial",
@@ -78,7 +77,6 @@ class ExperimentConfig:
     master_seed: int = 0
     cutoff: int | None = None
     jobs: int = 1
-    paranoid: bool = False
     timing: bool = False
 
     def __post_init__(self) -> None:
@@ -112,15 +110,9 @@ class TrialRow:
     comparisons: int
     answer: str
     multiplicity: int | None
-    correct: bool | None  # None when ground truth was not checked
-    cert_ok: bool | None
+    correct: bool  # every trial is checked against brute force and audited
+    cert_ok: bool
     wall_ms: float
-
-
-def _checked(config: ExperimentConfig, n: int, trial: int) -> bool:
-    if config.paranoid or n <= FULL_CHECK_LIMIT:
-        return True
-    return trial % 10 == 0  # sampled checking above the full-check limit
 
 
 def solve(
@@ -147,19 +139,13 @@ def solve(
 def run_trial(config: ExperimentConfig, n: int, trial: int) -> TrialRow:
     inst_rng = RandomStream(config.master_seed, f"instance/{n}", trial)
     instance = generate(config.distribution, n, inst_rng)
-    checking = _checked(config, n, trial)
-    oracle = CountingOracle(instance, record_transcript=checking)
+    oracle = CountingOracle(instance, record_transcript=True)
 
     start = time.perf_counter()
     answer, cert, trace = solve(
         config.algorithm, oracle, config.master_seed, trial, config.cutoff
     )
     wall_ms = (time.perf_counter() - start) * 1e3
-
-    correct = cert_ok = None
-    if checking:
-        correct = answer_matches_brute_force(answer, instance)
-        cert_ok = verify_run(instance.n, oracle.transcript, answer, cert).accepted
 
     return TrialRow(
         n=n,
@@ -170,8 +156,8 @@ def run_trial(config: ExperimentConfig, n: int, trial: int) -> TrialRow:
         comparisons=oracle.comparisons,
         answer=answer.kind,
         multiplicity=answer.multiplicity,
-        correct=correct,
-        cert_ok=cert_ok,
+        correct=answer_matches_brute_force(answer, instance),
+        cert_ok=verify_run(instance.n, oracle.transcript, answer, cert).accepted,
         wall_ms=wall_ms,
     )
 
@@ -210,8 +196,8 @@ class SummaryRow:
     comparisons_max: int
     comparisons_p95: int
     ratio: float  # mean comparisons / n
-    correct_rate: float | None  # over checked rows; None if none were checked
-    cert_rate: float | None
+    correct_rate: float
+    cert_rate: float
 
 
 def summarize(rows: Sequence[TrialRow], distribution: str = "") -> list[SummaryRow]:
@@ -224,7 +210,6 @@ def summarize(rows: Sequence[TrialRow], distribution: str = "") -> list[SummaryR
     for (algo, n), grp in sorted(groups.items()):
         comps = sorted(r.comparisons for r in grp)
         p95 = comps[max(0, math.ceil(0.95 * len(comps)) - 1)]
-        checked = [r for r in grp if r.correct is not None]
         out.append(
             SummaryRow(
                 algorithm=algo,
@@ -237,12 +222,8 @@ def summarize(rows: Sequence[TrialRow], distribution: str = "") -> list[SummaryR
                 comparisons_max=comps[-1],
                 comparisons_p95=p95,
                 ratio=mean(comps) / n,
-                correct_rate=(
-                    sum(r.correct for r in checked) / len(checked) if checked else None
-                ),
-                cert_rate=(
-                    sum(r.cert_ok for r in checked) / len(checked) if checked else None
-                ),
+                correct_rate=sum(r.correct for r in grp) / len(grp),
+                cert_rate=sum(r.cert_ok for r in grp) / len(grp),
             )
         )
     return out
@@ -312,11 +293,9 @@ def format_summary(summary: Sequence[SummaryRow]) -> str:
     )
     lines = [header, "-" * len(header)]
     for s in summary:
-        ok = "" if s.correct_rate is None else f"{s.correct_rate:.2f}"
-        cert = "" if s.cert_rate is None else f"{s.cert_rate:.2f}"
         lines.append(
             f"{s.algorithm:<14} {s.n:>9} {s.count:>6} {s.comparisons_mean:>12.1f} "
             f"{s.comparisons_std:>10.1f} {s.comparisons_min:>9} {s.comparisons_max:>9} "
-            f"{s.comparisons_p95:>9} {s.ratio:>7.4f} {ok:>5} {cert:>5}"
+            f"{s.comparisons_p95:>9} {s.ratio:>7.4f} {s.correct_rate:>5.2f} {s.cert_rate:>5.2f}"
         )
     return "\n".join(lines)

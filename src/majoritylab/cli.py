@@ -18,6 +18,7 @@ import sys
 
 from .answers import ContractViolation
 from .bench import (
+    ALGORITHMS,
     ExperimentConfig,
     contract_violations,
     format_summary,
@@ -120,7 +121,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         cutoff=args.cutoff,
         jobs=args.jobs,
-        paranoid=args.paranoid,
         timing=args.timing,
     )
     rows = run_grid(config)
@@ -183,28 +183,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--algo",
-            choices=("rand-majority", "boyer-moore"),
-            default="rand-majority",
-            help="algorithm to run (default rand-majority)",
-        )
-        p.add_argument("--n", type=_parse_size, help="instance size (plain or 2^k)")
-        p.add_argument(
-            "--dist",
-            default="binary:p=0.5",
-            help="color distribution, e.g. binary:p=0.5, profile:0.48,rest=100, "
-            "uniform:k=64, distinct",
-        )
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument(
-            "--cutoff", type=int, help="recursion floor for rand-majority"
-        )
-        p.add_argument("--instance", help="read the instance from a file instead")
+    # Shared by run, verify and bench.
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument(
+        "--algo",
+        choices=ALGORITHMS,
+        default="rand-majority",
+        help="algorithm to run (default rand-majority)",
+    )
+    solver.add_argument(
+        "--dist",
+        default="binary:p=0.5",
+        help="color distribution, e.g. binary:p=0.5, profile:0.48,rest=100, "
+        "uniform:k=64, distinct",
+    )
+    solver.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    solver.add_argument("--cutoff", type=int, help="recursion floor for rand-majority")
 
-    run_p = sub.add_parser("run", help="solve one instance")
-    add_common(run_p)
+    # Shared by run and verify.
+    single = argparse.ArgumentParser(add_help=False, parents=[solver])
+    single.add_argument("--n", type=_parse_size, help="instance size (plain or 2^k)")
+    single.add_argument("--instance", help="read the instance from a file instead")
+
+    run_p = sub.add_parser("run", parents=[single], help="solve one instance")
     run_p.add_argument(
         "--record-transcript",
         action="store_true",
@@ -212,33 +213,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.set_defaults(func=_cmd_run)
 
-    verify_p = sub.add_parser("verify", help="run, audit, and cross-check one instance")
-    add_common(verify_p)
+    verify_p = sub.add_parser(
+        "verify", parents=[single], help="run, audit, and cross-check one instance"
+    )
     verify_p.set_defaults(func=_cmd_verify)
 
-    bench_p = sub.add_parser("bench", help="run a seeded experiment grid")
-    bench_p.add_argument(
-        "--algo",
-        choices=("rand-majority", "boyer-moore"),
-        default="rand-majority",
+    bench_p = sub.add_parser(
+        "bench", parents=[solver], help="run a seeded experiment grid, every trial audited"
     )
     bench_p.add_argument(
         "--sizes",
         default="2^14",
         help="comma-separated sizes, 2^k shorthand allowed (default 2^14)",
     )
-    bench_p.add_argument("--dist", default="binary:p=0.5")
     bench_p.add_argument("--trials", type=int, default=10)
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--cutoff", type=int)
     bench_p.add_argument("--jobs", type=int, default=1, help="worker processes")
     bench_p.add_argument("--csv-out", help="write rows here instead of stdout")
     bench_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    bench_p.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="check every trial against brute force regardless of size",
-    )
     bench_p.add_argument(
         "--timing",
         action="store_true",

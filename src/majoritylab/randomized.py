@@ -203,11 +203,11 @@ def _resolve_leftover(
     The even part caps every class at (m-1)/2, so the only class that can
     still reach a majority is the leftover's own.  The leftover probes the
     certificate's pairs (a double miss yields a rainbow triangle) and then
-    its uncovered balls, tracking an upper bound on the class: one slot per
-    unprobed pair or ball.  Probing stops the moment the bound clears m//2,
-    which with a fully covering certificate is the first double miss; if
-    the class instead crosses m//2, a full census turns the level into a
-    majority answer after all.
+    its uncovered balls, tracking an upper bound on the class: its members
+    so far plus one slot per unprobed pair or ball.  The pair walk stops the
+    moment the bound falls to m//2, and so does the ball walk once it holds
+    a triangle.  The bound never falls below the class, so once the class
+    passes m//2 both walks run to the end and count it exactly.
     """
     if cert.triangle is not None:
         raise ContractViolation("leftover resolution expects a triangle-free certificate")
@@ -215,94 +215,57 @@ def _resolve_leftover(
     start = oracle.comparisons
     half = m // 2
     klass = {leftover}
-    excluded: set[int] = set()
-    covered = cert.pairs.ravel()
-    keep = (balls != leftover) & ~np.isin(balls, covered)
-    if cert.candidate is not None:
-        keep &= balls != cert.candidate
-    uncovered = balls[keep].tolist()
+    seen = np.zeros(int(balls.max()) + 1, dtype=bool)
+    seen[cert.pairs] = True
+    seen[leftover] = True
     pairs = cert.pairs.tolist()
-    potential = 1 + len(pairs) + len(uncovered)
+    potential = 1 + len(pairs)
     if cert.candidate is not None:
-        # Resolving leftover-versus-candidate up front keeps the candidate's
-        # uncovered budget tight if the certificate is reused below.
-        potential += 1
+        seen[cert.candidate] = True
         if oracle.cmp(leftover, cert.candidate):
             klass.add(cert.candidate)
-        else:
-            excluded.add(cert.candidate)
-            potential -= 1
+            potential += 1
+    uncovered = balls[~seen[balls]].tolist()
+    potential += len(uncovered)
 
     triangle: tuple[int, int, int] | None = None
     row = 0  # the pair that the triangle replaces
-    i = 0
-    while i < len(pairs) and len(klass) <= half and potential > half:
-        a, b = pairs[i]
-        i += 1
+    for i, (a, b) in enumerate(pairs):
+        if potential <= half:
+            break
         if oracle.cmp(leftover, a):
             klass.add(a)
-            excluded.add(b)
         elif oracle.cmp(leftover, b):
             klass.add(b)
-            excluded.add(a)
         else:
-            excluded.update((a, b))
             potential -= 1
             if triangle is None:
-                triangle = (leftover, a, b)
-                row = i - 1
-
-    # Without a triangle the leftover stays uncovered, and only the full
-    # probe sweep plus the anchor arithmetic below yields a checkable
-    # certificate, so the potential exit applies to triangle exits alone.
-    j = 0
-    while (
-        j < len(uncovered)
-        and len(klass) <= half
-        and (triangle is None or potential > half)
-    ):
-        b = uncovered[j]
-        j += 1
+                triangle, row = (leftover, a, b), i
+    # Without a triangle the ball walk runs to the end even once the bound
+    # has fallen to m//2; the seeded comparison counts are pinned to it.
+    for b in uncovered:
+        if triangle is not None and potential <= half:
+            break
         if oracle.cmp(leftover, b):
             klass.add(b)
         else:
-            excluded.add(b)
             potential -= 1
     lv.leftover_comparisons += oracle.comparisons - start
 
     if len(klass) > half:
-        # The leftover's class is the level majority; finish the census so
-        # the claimed multiplicity is exact.
-        start = oracle.comparisons
-        for a, b in pairs[i:]:
-            if oracle.cmp(leftover, a):
-                klass.add(a)
-            elif oracle.cmp(leftover, b):
-                klass.add(b)
-        for b in uncovered[j:]:
-            if oracle.cmp(leftover, b):
-                klass.add(b)
-        lv.leftover_comparisons += oracle.comparisons - start
         return Answer.majority(leftover, len(klass)), None
-
     if triangle is not None:
         return Answer.no_majority(), Certificate(
             pairs=np.concatenate((cert.pairs[:row], cert.pairs[row + 1 :])),
             triangle=triangle,
             candidate=cert.candidate,
         )
-
-    # Every pair absorbed a probe, so a certificate anchored at the leftover
-    # is valid whenever its uncovered budget holds; otherwise the inherited
-    # candidate's certificate is (provably) the one with slack.
-    sigma = np.count_nonzero(~np.isin(np.fromiter(excluded, np.int64, len(excluded)), covered))
-    if len(pairs) + sigma <= m // 2:
-        anchor = leftover
-    elif cert.candidate is not None:
-        anchor = cert.candidate
-    else:
+    # Without a triangle every pair holds one ball of the leftover's class,
+    # so its misses among the uncovered balls push a certificate anchored at
+    # the leftover past m//2: only the inherited candidate's can stand.
+    if cert.candidate is None:
         raise ContractViolation("no anchor has slack for the leftover certificate")
-    return Answer.no_majority(), Certificate(pairs=cert.pairs, candidate=anchor)
+    return Answer.no_majority(), cert
 
 
 def _lift_certificate(cert: Certificate, survivors: np.ndarray, mates: np.ndarray) -> Certificate:
@@ -324,25 +287,6 @@ def _lift_certificate(cert: Certificate, survivors: np.ndarray, mates: np.ndarra
         cross = ((t1, partner[t2]), (t2, partner[t3]), (t3, partner[t1]))
         pairs = np.concatenate((pairs, cross))
     return Certificate(pairs=pairs, candidate=cert.candidate)
-
-
-def _finish_no_majority(
-    run: _Run,
-    lv: LevelStats,
-    balls: np.ndarray,
-    sub_cert: Certificate,
-    survivors: np.ndarray,
-    mates: np.ndarray,
-    unequal: tuple[np.ndarray, np.ndarray],
-    leftover: int | None,
-) -> tuple[Answer, Certificate | None]:
-    """Lift a survivor-level certificate back to the full level."""
-    lifted = _lift_certificate(sub_cert, survivors, mates)
-    pairs = np.concatenate((np.column_stack(unequal), lifted.pairs))
-    cert = Certificate(pairs=pairs, candidate=lifted.candidate)
-    if leftover is None:
-        return Answer.no_majority(), cert
-    return _resolve_leftover(run, lv, balls, leftover, cert, len(balls))
 
 
 def _deficit_scan(
@@ -387,9 +331,12 @@ def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]
     if not sub_answer.is_majority:
         if sub_cert is None:
             raise ContractViolation("no-majority answer without a certificate")
-        return _finish_no_majority(
-            run, lv, balls, sub_cert, survivors, mates, unequal, leftover
-        )
+        lifted = _lift_certificate(sub_cert, survivors, mates)
+        pairs = np.concatenate((np.column_stack(unequal), lifted.pairs))
+        cert = Certificate(pairs=pairs, candidate=lifted.candidate)
+        if leftover is None:
+            return Answer.no_majority(), cert
+        return _resolve_leftover(run, lv, balls, leftover, cert, m)
 
     v = sub_answer.witness
     cnt = 2 * sub_answer.multiplicity - len(survivors)

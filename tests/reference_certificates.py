@@ -4,6 +4,12 @@
 Certificates here are plain tuples of ``(a, b)`` pairs, walked in order.
 The order matters: the leftover probe walks the pairs in certificate order,
 so a lift that reorders them moves seeded comparison counts.
+
+The reference deliberately keeps the ``sigma``/anchor arithmetic that the
+library dropped: without a triangle and without a majority, a certificate
+anchored at the leftover never has slack, so the library returns the
+inherited candidate's certificate (or raises without one) and the two must
+still agree.
 """
 
 from __future__ import annotations

@@ -45,6 +45,17 @@ GOLDEN = (
     ("profile:0.5,0.5", 8192, 0, 5461, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
     ("profile:0.5,0.5", 8192, 1, 5469, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
     ("profile:0.5,0.5", 8192, 2, 5525, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
+    # Odd n: the leftover walk settles a level whose even part has no
+    # majority.  uniform:k=3 leaves it at a rainbow triangle, and on
+    # profile:0.5,0.5 the leftover's class wins.  The walk's third exit, the
+    # inherited candidate's certificate, was reached by no seed searched at
+    # cutoff 64 (see CHANGES.md).
+    ("uniform:k=3", 2047, 0, 1286, "no_majority", None, "balanced>balanced>base"),
+    ("uniform:k=3", 2047, 1, 1318, "no_majority", None, "balanced>balanced>base"),
+    ("uniform:k=3", 2047, 2, 1340, "no_majority", None, "balanced>balanced>base"),
+    ("profile:0.5,0.5", 2047, 0, 2545, "majority", 1024, "balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 2047, 1, 2428, "majority", 1024, "balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 2047, 2, 2978, "majority", 1024, "balanced>balanced>balanced>base"),
 )
 
 CSV_GRID = ExperimentConfig(

@@ -346,10 +346,26 @@ PRODUCERS = {
         lambda cert, stats: stats.levels[0].scan_comparisons == 0
         and len(cert.pairs) > stats.levels[0].y_pairs,
     ),
+    # The three exits of the leftover walk: the inherited candidate's
+    # certificate (at level 2 of this run), a rainbow triangle and a
+    # leftover class that wins its level.
     "majority-odd-leftover": (
         lambda: _majority_run("uniform:k=3", 301, 1),
         lambda cert, stats: stats.levels[0].scan_comparisons == 0
         and stats.levels[0].leftover_comparisons > 0,
+    ),
+    "majority-leftover-triangle": (
+        lambda: _majority_run("uniform:k=3", 301, 0),
+        lambda cert, stats: cert.triangle is not None
+        and stats.levels[0].leftover_comparisons > 0,
+    ),
+    "majority-leftover-class-wins": (
+        lambda: _majority_run("uniform:k=3", 301, 19),
+        # Level 2 walked its leftover and answered a majority, which level 1
+        # then rejected with its deficit scan.
+        lambda cert, stats: stats.levels[2].scan_comparisons == 0
+        and stats.levels[2].leftover_comparisons > 0
+        and stats.levels[1].scan_comparisons > 0,
     ),
     "heavy-cross-pairs": (
         lambda: _heavy_run((1, 2, 1, 2, 2, 1)),
