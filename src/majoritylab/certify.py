@@ -133,9 +133,12 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
     # cycle, and each round removes at least one class.  From the second
     # round on, a and b hold the labels the records had after the round
     # before; once pointers are jumped, label[a] is the label of every ball
-    # that a labelled.
+    # that a labelled.  The records are split by index (nonzero, then take):
+    # on masks of unpredictable density that is several times faster than
+    # boolean indexing.
     label = np.arange(n + 1)
-    a, b = left[equal], right[equal]
+    same, differ = equal.nonzero()[0], (~equal).nonzero()[0]
+    a, b = left.take(same), right.take(same)
     while len(a):
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         while True:
@@ -144,17 +147,15 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
                 break
             label = jumped
         a, b = label[a], label[b]
-        split = a != b
-        a, b = a[split], b[split]
+        split = (a != b).nonzero()[0]
+        a, b = a.take(split), b.take(split)
 
-    unequal = ~equal
-    a, b = label[left[unequal]], label[right[unequal]]
+    lo, hi = left.take(differ), right.take(differ)
+    a, b = label[lo], label[hi]
     clash = a == b
     if np.count_nonzero(clash):
         i = clash.nonzero()[0][0]
-        raise InconsistentTranscript(
-            f"balls {left[unequal][i]} and {right[unequal][i]} are both equal and unequal"
-        )
+        raise InconsistentTranscript(f"balls {lo[i]} and {hi[i]} are both equal and unequal")
     keys = np.concatenate((np.minimum(a, b) * (n + 1) + np.maximum(a, b), [(n + 1) ** 2]))
     keys.sort()
     repeat = np.zeros(len(keys), dtype=bool)

@@ -1,24 +1,37 @@
 """Randomized exact majority finding with certified answers.
 
-Every level above the cutoff runs one pairing step: pair the balls at
-random, keep one survivor of each equal pair, recurse on the survivors,
-then settle the level.  A no-majority verdict below is lifted through the
-pairs; a survivor majority is checked against the unequal pairs with a
-deficit count that stops as soon as the candidate can no longer reach a
-majority.  ``majority`` draws no sample and makes no dispatch decision.
+Every level above the cutoff shuffles its balls into disjoint pairs and
+chooses between two strategies from a sample of that pairing.  The sample
+is the first k = min(m//2, 2*isqrt(m)) pairs: an equal pair of colour i
+turns up with probability q_i^2, so censusing the equal survivors of the
+sample estimates the top colour's frequency q1 and its share f of the
+squared frequencies.  A level whose top colour is heavy (its estimated q1
+reaches ``beta_interval()[0]`` and f >= 4/5) runs a direct census on it;
+every other level finishes the pairing step: keep one survivor of each
+equal pair, recurse on the survivors, then settle the level.  A
+no-majority verdict below is lifted through the pairs; a survivor majority
+is checked against the unequal pairs with a deficit count that stops as
+soon as the candidate can no longer reach a majority.
 
-``heavy`` is a second strategy, run directly on a given candidate: census
-it, and when it falls short, finish the no-majority certificate by pairing
-off the rest.  ``estimate_frequencies`` is the sampler a dispatching level
-would build on.
+The share test keeps fair coins on the pairing step.  On two colours
+f >= 4/5 needs q1 >= 2/3, so the censused class is the majority; a census
+on a minority candidate would cost about 3.25n through the Boyer-Moore
+fallback.  And with f >= 4/5 and q1 >= beta the census costs at most
+about 1.09n, below the pairing step's 7n/6.
+
+``heavy`` is the census strategy: census the candidate, and when it falls
+short, finish the no-majority certificate by pairing off the rest in the
+order the balls arrive, which a dispatching level has already shuffled.
+``estimate_frequencies`` classifies an explicit sample ball by ball; the
+driver does not use it, because its cost grows with the number of classes.
 
 Balls travel between levels as int64 arrays, and certificates carry their
 pairs as one ``(k, 2)`` int64 array that every producer builds by stacking
-columns, in the pair order the leftover probe walks.  The pairing and heavy's
-census are one ``CountingOracle.cmp_many`` batch each.  The deficit scan
-and heavy's pair scan are one ``CountingOracle.scan_until`` call each,
-which bills exactly the comparisons of the pair-by-pair scan and stops
-where it stops.
+columns, in the pair order the leftover probe walks.  The sampled pairs,
+the rest of the pairing and each census are one ``CountingOracle.cmp_many``
+batch each.  The deficit scan and heavy's pair scan are one
+``CountingOracle.scan_until`` call each, which bills exactly the
+comparisons of the pair-by-pair scan and stops where it stops.
 
 Every path is Las Vegas: answers are always exact, randomness moves only
 the comparison count.  No-majority answers carry a certificate that an
@@ -36,6 +49,7 @@ import numpy as np
 from .answers import Answer, Certificate, ContractViolation
 from .boyer_moore import boyer_moore
 from .core import CountingOracle
+from .lowerbound import beta_interval
 from .rng import RandomStream
 
 __all__ = [
@@ -82,16 +96,41 @@ class SampleEstimate:
     comparisons: int
 
 
+# A level samples the first min(m//2, _SAMPLE_ROOTS * isqrt(m)) pairs of its
+# pairing: o(m) comparisons, and about 2 sqrt(m) q1^2 equal pairs of the top
+# colour to estimate q1 from.
+_SAMPLE_ROOTS = 2
+
+# A sampled class is dominant when its equal pairs number at least this many
+# times those of every other class together: f >= 4/5, q1^2 >= 4 sum_{j>1} q_j^2.
+_DOMINANCE = 4
+
+# The census threshold on the estimated q1: the low end of the paper's
+# admissible interval, below which pairing is the cheaper strategy.
+_BETA = beta_interval()[0]
+
+
 @dataclass
 class LevelStats:
     """Per-recursion-level accounting.
 
-    The comparison fields are branch specific: ``pairing`` is the random
-    pairing pass (for heavy, its pair scan of the census leftovers),
+    ``branch`` is "balanced" for a level that pairs, "heavy" for one that
+    runs the census (chosen by its sample, or by ``heavy``) and "base" for
+    one at or below the cutoff.  The comparison fields are branch specific:
+    ``sample`` is the survivor census of the sampled pairs, plus the sampled
+    pairs themselves when the level goes to the census; ``pairing`` is the
+    random pairing pass (for heavy, its pair scan of the census leftovers),
     ``scan`` is the candidate-versus-others pass (for heavy, the census),
     ``leftover`` covers odd-size resolution probes, ``fallback`` the
-    terminal boyer_moore rerun.  ``sample`` stays 0: the driver draws no
-    sample.
+    terminal boyer_moore rerun.
+
+    The sample fields describe a level above the cutoff that ``majority``
+    reached: ``sample_pairs`` is k, ``sample_hits`` the equal sampled pairs
+    of the largest class censused, ``q1_estimate`` is sqrt(hits / k) and
+    ``top_share`` is hits over all equal sampled pairs (0 when there are
+    none).  ``leftover_exit`` names how an odd level whose even part had no
+    majority was settled: "triangle", "class" (the leftover's class won) or
+    "candidate" (the inherited candidate's certificate).
     """
 
     branch: str
@@ -103,6 +142,11 @@ class LevelStats:
     fallback_comparisons: int = 0
     x_size: int = 0
     y_pairs: int = 0
+    sample_pairs: int = 0
+    sample_hits: int = 0
+    q1_estimate: float = 0.0
+    top_share: float = 0.0
+    leftover_exit: str | None = None
 
     @property
     def total_comparisons(self) -> int:
@@ -174,20 +218,45 @@ class _Run:
         return self._np_gen.permutation(balls)
 
 
-def _pair_up(run: _Run, balls: np.ndarray):
-    """Shuffle and compare disjoint pairs; exactly len(balls)//2 comparisons.
+def _sample(
+    oracle: CountingOracle, lv: LevelStats, firsts: np.ndarray, seconds: np.ndarray
+) -> tuple[np.ndarray, int | None]:
+    """Compare the level's first k pairs and pick a census candidate, if any.
 
-    Returns (survivors, mates, unequal, leftover).  The second ball of each
-    equal pair survives and ``mates`` holds the first, which is what
-    certificate lifting needs to undouble the survivor set; ``unequal`` is
-    the (firsts, seconds) columns of the unequal pairs.
+    The first survivor of an equal sampled pair is censused against the
+    other survivors.  When the survivors outside its class could still hold
+    a dominant class, the first of them is censused among them too.  The
+    largest class found is the estimate of the top colour; the level goes to
+    the census on it when it is dominant and its q1 estimate reaches beta.
+
+    Returns the equal flags of the k pairs and the candidate, or None.  The
+    survivor census is billed to the sample, and so are the k pairs when the
+    level goes to the census; otherwise they are billed to the pairing.
     """
-    order = run.permuted(balls)
-    half = len(order) // 2
-    firsts, seconds = order[0 : 2 * half : 2], order[1 : 2 * half : 2]
-    equal = run.oracle.cmp_many(firsts, seconds)
-    leftover = int(order[-1]) if len(order) % 2 else None
-    return seconds[equal], firsts[equal], (firsts[~equal], seconds[~equal]), leftover
+    k = min(lv.m // 2, _SAMPLE_ROOTS * math.isqrt(lv.m))
+    start = oracle.comparisons
+    equal = oracle.cmp_many(firsts[:k], seconds[:k])
+    paired = oracle.comparisons - start
+    survivors = seconds[:k][equal]
+    s = len(survivors)
+    top, hits = None, 0
+    if s:
+        top = int(survivors[0])
+        same = oracle.cmp_many(top, survivors[1:])
+        hits = 1 + int(np.count_nonzero(same))
+        if s - hits >= _DOMINANCE * hits:
+            others = survivors[1:][~same]
+            found = 1 + int(np.count_nonzero(oracle.cmp_many(int(others[0]), others[1:])))
+            if found > hits:
+                top, hits = int(others[0]), found
+    lv.sample_pairs, lv.sample_hits = k, hits
+    lv.q1_estimate = math.sqrt(hits / k)
+    lv.top_share = hits / s if s else 0.0
+    if hits < _DOMINANCE * (s - hits) or lv.q1_estimate < _BETA:
+        top = None
+    lv.sample_comparisons = oracle.comparisons - start - (paired if top is None else 0)
+    lv.pairing_comparisons = paired if top is None else 0
+    return equal, top
 
 
 def _resolve_leftover(
@@ -204,10 +273,11 @@ def _resolve_leftover(
     still reach a majority is the leftover's own.  The leftover probes the
     certificate's pairs (a double miss yields a rainbow triangle) and then
     its uncovered balls, tracking an upper bound on the class: its members
-    so far plus one slot per unprobed pair or ball.  The pair walk stops the
-    moment the bound falls to m//2, and so does the ball walk once it holds
-    a triangle.  The bound never falls below the class, so once the class
-    passes m//2 both walks run to the end and count it exactly.
+    so far plus one slot per unprobed pair or ball.  Both walks stop the
+    moment the bound falls to m//2, where the class can no longer win.  The
+    bound never falls below the class, so once the class passes m//2 both
+    walks run to the end and count it exactly.  ``lv.leftover_exit``
+    records which of the three verdicts settled the level.
     """
     if cert.triangle is not None:
         raise ContractViolation("leftover resolution expects a triangle-free certificate")
@@ -241,10 +311,8 @@ def _resolve_leftover(
             potential -= 1
             if triangle is None:
                 triangle, row = (leftover, a, b), i
-    # Without a triangle the ball walk runs to the end even once the bound
-    # has fallen to m//2; the seeded comparison counts are pinned to it.
     for b in uncovered:
-        if triangle is not None and potential <= half:
+        if potential <= half:
             break
         if oracle.cmp(leftover, b):
             klass.add(b)
@@ -253,8 +321,10 @@ def _resolve_leftover(
     lv.leftover_comparisons += oracle.comparisons - start
 
     if len(klass) > half:
+        lv.leftover_exit = "class"
         return Answer.majority(leftover, len(klass)), None
     if triangle is not None:
+        lv.leftover_exit = "triangle"
         return Answer.no_majority(), Certificate(
             pairs=np.concatenate((cert.pairs[:row], cert.pairs[row + 1 :])),
             triangle=triangle,
@@ -265,6 +335,7 @@ def _resolve_leftover(
     # the leftover past m//2: only the inherited candidate's can stand.
     if cert.candidate is None:
         raise ContractViolation("no anchor has slack for the leftover certificate")
+    lv.leftover_exit = "candidate"
     return Answer.no_majority(), cert
 
 
@@ -306,8 +377,13 @@ def _deficit_scan(
 
 
 def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
-    """One pairing level: pair, recurse on the survivors, settle the verdict.
+    """One level above the cutoff: sample, then census or pair and recurse.
 
+    The level shuffles its balls into pairs and samples the first of them.
+    A level the sample sends to the census hands ``_heavy`` its shuffled
+    balls.  Otherwise it compares the rest of the pairs, keeps the second
+    ball of each equal pair as a survivor (its mate is the first, which
+    certificate lifting needs to undouble the survivor set) and recurses.
     A no-majority verdict below is lifted through the pairs.  A survivor
     majority v is checked against the leftover, then against the unequal
     pairs with the deficit scan.
@@ -317,11 +393,25 @@ def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]
     run.levels.append(lv)
     oracle = run.oracle
 
+    order = run.permuted(balls)
+    half = m // 2
+    firsts, seconds = order[0 : 2 * half : 2], order[1 : 2 * half : 2]
+    sampled, candidate = _sample(oracle, lv, firsts, seconds)
+    if candidate is not None:
+        lv.branch = "heavy"
+        return _heavy(run, lv, order, candidate)
+
     start = oracle.comparisons
-    survivors, mates, unequal, leftover = _pair_up(run, balls)
-    lv.pairing_comparisons = oracle.comparisons - start
+    k = len(sampled)
+    equal = np.concatenate((sampled, oracle.cmp_many(firsts[k:], seconds[k:])))
+    lv.pairing_comparisons += oracle.comparisons - start
+    # Split by index: on an unpredictable split, take beats boolean masks.
+    same, split = equal.nonzero()[0], (~equal).nonzero()[0]
+    survivors, mates = seconds.take(same), firsts.take(same)
+    unequal = (firsts.take(split), seconds.take(split))
+    leftover = int(order[-1]) if m % 2 else None
     lv.x_size = len(survivors)
-    lv.y_pairs = len(unequal[0])
+    lv.y_pairs = len(split)
 
     if len(survivors):
         sub_answer, sub_cert = _solve(run, survivors)
@@ -356,31 +446,41 @@ def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]
 
 def _unequal_pairs(
     oracle: CountingOracle, order: np.ndarray, need: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compare the disjoint pairs of ``order`` until ``need`` are unequal.
 
     Returns the (firsts, seconds) columns of the unequal pairs found, fewer
-    than ``need`` only when the pairs run out.
+    than ``need`` only when the pairs run out, and the other balls of
+    ``order`` in their order.
     """
     half = len(order) // 2
     firsts, seconds = order[0 : 2 * half : 2], order[1 : 2 * half : 2]
-    unequal = oracle.scan_until(None, firsts, seconds, need)
-    walked = len(unequal)
-    return firsts[:walked][unequal], seconds[:walked][unequal]
+    found = oracle.scan_until(None, firsts, seconds, need).nonzero()[0]
+    paired = np.zeros(len(order), dtype=bool)
+    paired[2 * found] = paired[2 * found + 1] = True
+    return firsts.take(found), seconds.take(found), order[~paired]
 
 
-def _heavy(run: _Run, balls: np.ndarray, candidate: int) -> tuple[Answer, Certificate | None]:
+def _heavy(
+    run: _Run, lv: LevelStats, balls: np.ndarray, candidate: int
+) -> tuple[Answer, Certificate | None]:
+    """Census ``candidate`` over the level's balls, which arrive shuffled.
+
+    When the census falls short of a majority, the balls outside the
+    candidate's class are paired off in the order they arrive until enough
+    pairs are unequal to cap every class.
+    """
     m = len(balls)
-    lv = LevelStats("heavy", m)
-    run.levels.append(lv)
     oracle = run.oracle
-    if not (balls == candidate).any():
+    keep = balls != candidate
+    if keep.all():
         raise ValueError("heavy candidate must be one of the balls")
 
     start = oracle.comparisons
-    census = balls[balls != candidate]
+    census = balls[keep]
     same = oracle.cmp_many(candidate, census)
-    mates, others = census[same], census[~same]  # candidate's class, censused directly
+    # the candidate's class, censused directly, and the rest
+    mates, others = census.take(same.nonzero()[0]), census.take((~same).nonzero()[0])
     cnt = 1 + len(mates)
     lv.scan_comparisons = oracle.comparisons - start
 
@@ -399,7 +499,7 @@ def _heavy(run: _Run, balls: np.ndarray, candidate: int) -> tuple[Answer, Certif
         return Answer.no_majority(), Certificate(pairs=np.column_stack((others, klass)))
 
     start = oracle.comparisons
-    firsts, seconds = _unequal_pairs(oracle, run.permuted(others), need)
+    firsts, seconds, rest = _unequal_pairs(oracle, others, need)
     lv.pairing_comparisons = oracle.comparisons - start
 
     if len(firsts) < need:
@@ -410,7 +510,6 @@ def _heavy(run: _Run, balls: np.ndarray, candidate: int) -> tuple[Answer, Certif
         lv.fallback_comparisons = oracle.comparisons - start
         return answer, cert
 
-    rest = others[~np.isin(others, np.concatenate((firsts, seconds)))]
     triangle = None
     if m % 2:
         triangle = (int(firsts[-1]), int(seconds[-1]), int(klass[-1]))
@@ -507,5 +606,15 @@ def heavy(
     params: Params | None = None,
     rng: RandomStream | None = None,
 ) -> tuple[Answer, Certificate | None, RunStats]:
-    """Census the given candidate unconditionally at the top level."""
-    return _drive(oracle, balls, params, rng, lambda run, b: _heavy(run, b, candidate))
+    """Census the given candidate unconditionally at the top level.
+
+    The balls are shuffled once, so the pair scan of the census leftovers
+    meets them in random order.
+    """
+
+    def census(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
+        lv = LevelStats("heavy", len(balls))
+        run.levels.append(lv)
+        return _heavy(run, lv, run.permuted(balls), candidate)
+
+    return _drive(oracle, balls, params, rng, census)

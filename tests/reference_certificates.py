@@ -71,11 +71,7 @@ def resolve_leftover(oracle, balls: list[int], leftover: int, pairs, candidate, 
                 kept.append((a, b))
 
     j = 0
-    while (
-        j < len(uncovered)
-        and len(klass) <= half
-        and (triangle is None or potential > half)
-    ):
+    while j < len(uncovered) and len(klass) <= half and potential > half:
         b = uncovered[j]
         j += 1
         if oracle.cmp(leftover, b):

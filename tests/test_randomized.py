@@ -61,6 +61,104 @@ def test_estimate_frequencies_ordering_and_cost():
     assert est.comparisons == oracle.comparisons
 
 
+# -- sampled dispatch ------------------------------------------------------
+
+# One-heavy-colour and two-colour inputs around the census threshold.
+GATE_SPECS = (
+    *(f"profile:{a},rest=1000" for a in (0.4, 0.45, 0.49, 0.5, 0.501, 0.55, 0.6, 0.7)),
+    "profile:0.45,0.3,rest=1000",
+    *(f"binary:p={p}" for p in (0.5, 0.4, 0.3, 0.1)),
+)
+
+
+def test_paper_bound_holds_across_the_heavy_threshold():
+    # 7n/6 + o(n) on every input.  At n = 2^16 the o(n) slack is
+    # delta = 0.02 + 2/sqrt(n), about 0.028.  0.02 covers the pairing
+    # step's own lower-order term on fair coins: 30 seeded runs average
+    # 7/6 + 0.0085 with a per-run sd of 0.005, so a mean of 3 stays below
+    # 7/6 + 0.0085 + 4 * 0.0029.  2/sqrt(n) is the expected sample on fair
+    # coins: each level censuses about k/2 = isqrt(m) equal survivors and
+    # levels shrink by 4, so the levels sum to about 2 sqrt(n).
+    n = 1 << 16
+    delta = 0.02 + 2 / np.sqrt(n)
+    means = {}
+    for spec in GATE_SPECS:
+        total = 0
+        for seed in range(3):
+            inst = generate(spec, n, RandomStream(seed, "gate", spec))
+            _, _, stats = majority(CountingOracle(inst), rng=RandomStream(seed, "gate/run", spec))
+            total += stats.comparisons
+        means[spec] = total / 3 / n
+    worst = max(means, key=means.get)
+    assert means[worst] <= 7 / 6 + delta, (worst, means)
+
+
+def test_near_tie_root_goes_to_the_census_and_fair_coins_never_do():
+    n = 1 << 18
+    for seed in range(10):
+        for spec, census in (("profile:0.48,rest=100", True), ("binary:p=0.5", False)):
+            inst = generate(spec, n, RandomStream(seed, "dispatch", spec))
+            _, _, stats = majority(CountingOracle(inst), rng=RandomStream(seed, "dispatch/run"))
+            if census:
+                assert stats.levels[0].branch == "heavy"
+            else:
+                assert "heavy" not in stats.branch_trace
+
+
+def test_sample_billing_and_record():
+    # A level that stays on pairing bills its sampled pairs to the pairing
+    # and the survivor census to the sample; a level that goes to the
+    # census bills both to the sample.
+    n = 1 << 14
+    k = 2 * 128
+    inst = generate("binary:p=0.5", n, RandomStream(3, "bill"))
+    _, _, stats = majority(CountingOracle(inst), rng=RandomStream(4, "bill"))
+    root = stats.levels[0]
+    assert root.branch == "balanced" and root.pairing_comparisons == n // 2
+    assert root.sample_pairs == k and 0 < root.sample_hits < k
+    assert root.q1_estimate == np.sqrt(root.sample_hits / k)
+    assert 0.3 < root.top_share < 0.8  # one census: the rest cannot be dominant
+    survivors = round(root.sample_hits / root.top_share)
+    assert root.sample_comparisons == survivors - 1
+
+    inst = generate("profile:0.48,rest=100", n, RandomStream(5, "bill"))
+    _, _, stats = majority(CountingOracle(inst), rng=RandomStream(6, "bill"))
+    root = stats.levels[0]
+    assert stats.branch_trace == ("heavy",)
+    assert root.q1_estimate >= randomized._BETA and root.top_share >= 0.8
+    survivors = round(root.sample_hits / root.top_share)
+    assert root.sample_comparisons == k + survivors - 1
+    assert root.scan_comparisons == n - 1 and root.x_size == root.y_pairs == 0
+    assert stats.comparisons == sum(lv.total_comparisons for lv in stats.levels)
+
+
+@pytest.mark.parametrize(
+    "pairs,candidate,sample,pairing",
+    [
+        # survivors 1, 2, 2, 2, 2, 2: the first class is too small to rule
+        # out a dominant one, so the second census finds it
+        ([(1, 1), (2, 2), (2, 2), (2, 2), (2, 2), (2, 2), (3, 4), (5, 6)], 4, 8 + 5 + 4, 0),
+        # survivors 2, 2, 2, 2, 1: the first class is dominant, one census
+        ([(2, 2), (2, 2), (2, 2), (2, 2), (1, 1), (3, 4), (5, 6), (7, 8)], 2, 8 + 4, 0),
+        # survivors 1, 2, 2, 2: no class is dominant
+        ([(1, 1), (2, 2), (2, 2), (2, 2), (3, 4), (5, 6), (7, 8), (9, 3)], None, 3, 8),
+        # one survivor is dominant, but sqrt(1/8) is below beta
+        ([(1, 1), (2, 3), (4, 5), (6, 7), (8, 9), (2, 4), (3, 5), (6, 8)], None, 0, 8),
+    ],
+)
+def test_sample_picks_the_dominant_class(pairs, candidate, sample, pairing):
+    inst = Instance(tuple(c for pair in pairs for c in pair))
+    balls = np.arange(1, inst.n + 1, dtype=np.int64)
+    oracle = CountingOracle(inst)
+    lv = LevelStats("balanced", inst.n)
+    equal, top = randomized._sample(oracle, lv, balls[0::2], balls[1::2])
+    assert lv.sample_pairs == len(pairs) == 8
+    assert equal.tolist() == [a == b for a, b in pairs]
+    assert top == candidate
+    assert (lv.sample_comparisons, lv.pairing_comparisons) == (sample, pairing)
+    assert oracle.comparisons == sample + pairing
+
+
 # -- driver edge cases ----------------------------------------------------
 
 
@@ -337,9 +435,15 @@ def _boyer_moore_run(colors):
 # Each producer with a check that the run took its path.
 PRODUCERS = {
     "majority-deficit-scan": (
-        lambda: _majority_run("profile:0.48,rest=100", 300, 0),
-        lambda cert, stats: stats.levels[0].scan_comparisons > 0
+        lambda: _majority_run("profile:0.45,0.3,rest=100", 300, 0),
+        lambda cert, stats: stats.levels[0].branch == "balanced"
+        and stats.levels[0].scan_comparisons > 0
         and len(cert.pairs) == stats.levels[0].y_pairs,
+    ),
+    "majority-census": (
+        lambda: _majority_run("profile:0.48,rest=100", 300, 0),
+        lambda cert, stats: stats.branch_trace == ("heavy",)
+        and stats.levels[0].sample_pairs > 0,
     ),
     "majority-lifted": (
         lambda: _majority_run("profile:0.5,0.5", 300, 0),
@@ -351,20 +455,18 @@ PRODUCERS = {
     # leftover class that wins its level.
     "majority-odd-leftover": (
         lambda: _majority_run("uniform:k=3", 301, 1),
-        lambda cert, stats: stats.levels[0].scan_comparisons == 0
-        and stats.levels[0].leftover_comparisons > 0,
+        lambda cert, stats: stats.levels[2].leftover_exit == "candidate",
     ),
     "majority-leftover-triangle": (
         lambda: _majority_run("uniform:k=3", 301, 0),
         lambda cert, stats: cert.triangle is not None
-        and stats.levels[0].leftover_comparisons > 0,
+        and stats.levels[0].leftover_exit == "triangle",
     ),
     "majority-leftover-class-wins": (
         lambda: _majority_run("uniform:k=3", 301, 19),
-        # Level 2 walked its leftover and answered a majority, which level 1
-        # then rejected with its deficit scan.
-        lambda cert, stats: stats.levels[2].scan_comparisons == 0
-        and stats.levels[2].leftover_comparisons > 0
+        # Level 2's leftover class won its level, and level 1 then rejected
+        # that majority with its deficit scan.
+        lambda cert, stats: stats.levels[2].leftover_exit == "class"
         and stats.levels[1].scan_comparisons > 0,
     ),
     "heavy-cross-pairs": (
@@ -574,8 +676,11 @@ def test_pair_scan_matches_scalar_reference(case):
     order = np.arange(1, inst.n + 1, dtype=np.int64)
     oracle = CountingOracle(inst, record_transcript=True)
     scalar = CountingOracle(inst, record_transcript=True)
-    got = _unequal_pairs(oracle, order, need)
-    assert pairs_of(got) == scalar_unequal_pairs(scalar, order.tolist(), need)
+    firsts, seconds, rest = _unequal_pairs(oracle, order, need)
+    found = scalar_unequal_pairs(scalar, order.tolist(), need)
+    assert pairs_of((firsts, seconds)) == found
+    paired = {b for pair in found for b in pair}
+    assert rest.tolist() == [b for b in order.tolist() if b not in paired]
     assert oracle.comparisons == scalar.comparisons
     assert list(oracle.transcript) == list(scalar.transcript)
 
@@ -585,7 +690,10 @@ def _scalar_scan(oracle, v, cnt, unequal, m):
 
 
 def _scalar_pairs(oracle, order, need):
-    return columns(scalar_unequal_pairs(oracle, order.tolist(), need))
+    found = scalar_unequal_pairs(oracle, order.tolist(), need)
+    paired = {b for pair in found for b in pair}
+    rest = np.array([b for b in order.tolist() if b not in paired], dtype=np.int64)
+    return (*columns(found), rest)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
