@@ -110,6 +110,17 @@ def _columns(transcript: Iterable[ComparisonRecord]) -> tuple[np.ndarray, np.nda
     return table[:, 0], table[:, 1], table[:, 2] != 0
 
 
+def _rows(mask: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries of each column where ``mask`` holds.
+
+    Gathered by index (nonzero, then take): on a mask of unpredictable
+    density that is several times faster than boolean indexing, and the
+    index is freed on return.
+    """
+    index = mask.nonzero()[0]
+    return tuple(col.take(index) for col in columns)
+
+
 def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStructure:
     """Replay a transcript into class labels and conflict keys.
 
@@ -133,12 +144,9 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
     # cycle, and each round removes at least one class.  From the second
     # round on, a and b hold the labels the records had after the round
     # before; once pointers are jumped, label[a] is the label of every ball
-    # that a labelled.  The records are split by index (nonzero, then take):
-    # on masks of unpredictable density that is several times faster than
-    # boolean indexing.
+    # that a labelled.
     label = np.arange(n + 1)
-    same, differ = equal.nonzero()[0], (~equal).nonzero()[0]
-    a, b = left.take(same), right.take(same)
+    a, b = _rows(equal, left, right)
     while len(a):
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         while True:
@@ -147,10 +155,9 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
                 break
             label = jumped
         a, b = label[a], label[b]
-        split = (a != b).nonzero()[0]
-        a, b = a.take(split), b.take(split)
+        a, b = _rows(a != b, a, b)
 
-    lo, hi = left.take(differ), right.take(differ)
+    lo, hi = _rows(~equal, left, right)
     a, b = label[lo], label[hi]
     clash = a == b
     if np.count_nonzero(clash):

@@ -259,6 +259,24 @@ def _sample(
     return equal, top
 
 
+def _pair_up(
+    oracle: CountingOracle, firsts: np.ndarray, seconds: np.ndarray, sampled: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Compare the pairs after the sampled ones and split all of them.
+
+    Returns (survivors, mates, unequal).  The second ball of each equal
+    pair survives and ``mates`` holds the first, which is what certificate
+    lifting needs to undouble the survivor set; ``unequal`` is the
+    (firsts, seconds) columns of the unequal pairs.  The flags and indices
+    are freed on return, before the level recurses.
+    """
+    k = len(sampled)
+    equal = np.concatenate((sampled, oracle.cmp_many(firsts[k:], seconds[k:])))
+    # Split by index: on an unpredictable split, take beats boolean masks.
+    same, split = equal.nonzero()[0], (~equal).nonzero()[0]
+    return seconds.take(same), firsts.take(same), (firsts.take(split), seconds.take(split))
+
+
 def _resolve_leftover(
     run: _Run,
     lv: LevelStats,
@@ -381,12 +399,10 @@ def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]
 
     The level shuffles its balls into pairs and samples the first of them.
     A level the sample sends to the census hands ``_heavy`` its shuffled
-    balls.  Otherwise it compares the rest of the pairs, keeps the second
-    ball of each equal pair as a survivor (its mate is the first, which
-    certificate lifting needs to undouble the survivor set) and recurses.
-    A no-majority verdict below is lifted through the pairs.  A survivor
-    majority v is checked against the leftover, then against the unequal
-    pairs with the deficit scan.
+    balls.  Otherwise it compares the rest of the pairs and recurses on the
+    survivors.  A no-majority verdict below is lifted through the pairs.  A
+    survivor majority v is checked against the leftover, then against the
+    unequal pairs with the deficit scan.
     """
     m = len(balls)
     lv = LevelStats("balanced", m)
@@ -402,16 +418,12 @@ def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]
         return _heavy(run, lv, order, candidate)
 
     start = oracle.comparisons
-    k = len(sampled)
-    equal = np.concatenate((sampled, oracle.cmp_many(firsts[k:], seconds[k:])))
+    survivors, mates, unequal = _pair_up(oracle, firsts, seconds, sampled)
     lv.pairing_comparisons += oracle.comparisons - start
-    # Split by index: on an unpredictable split, take beats boolean masks.
-    same, split = equal.nonzero()[0], (~equal).nonzero()[0]
-    survivors, mates = seconds.take(same), firsts.take(same)
-    unequal = (firsts.take(split), seconds.take(split))
     leftover = int(order[-1]) if m % 2 else None
+    del order, firsts, seconds, sampled  # not needed below; free them before recursing
     lv.x_size = len(survivors)
-    lv.y_pairs = len(split)
+    lv.y_pairs = len(unequal[0])
 
     if len(survivors):
         sub_answer, sub_cert = _solve(run, survivors)

@@ -373,6 +373,21 @@ def settle(resolve):
         "candidate": 1,
     }
 )
+# no triangle and no majority: the ball walk stops on the bound with ball 4
+# unprobed, and the candidate's certificate stands
+@example(
+    level={
+        "colors": [1, 2, 1, 2, 3, 1, 3, 2, 3],
+        "balls": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+        "survivors": [1, 2],
+        "mates": [3, 4],
+        "unequal": [(5, 6), (7, 8)],
+        "leftover": 9,
+        "pairs": [],
+        "triangle": None,
+        "candidate": 1,
+    }
+)
 def test_array_lift_matches_tuple_lift(level):
     # The lift keeps the tuple lift's pair order, and the leftover probe,
     # which walks the pairs in that order, bills and records the same
