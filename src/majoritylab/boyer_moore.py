@@ -60,12 +60,9 @@ def boyer_moore(
             lefts.append(stack.pop())
             rights.append(b)
 
-    count = 1
-    for b in balls:
-        if b == candidate:
-            continue
-        if oracle.cmp(candidate, b):
-            count += 1
+    # Pass two never adapts, so it is one batch in the loop's order.
+    others = np.array(balls, dtype=np.int64)
+    count = 1 + int(np.count_nonzero(oracle.cmp_many(candidate, others[others != candidate])))
 
     used = oracle.comparisons - start
     if used > max(0, 2 * m - 2):

@@ -23,7 +23,6 @@ auditor shares no code with the solvers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -332,21 +331,26 @@ def verify_run(
 
 
 def brute_force_majority(instance: Instance, balls: Sequence[int] | None = None) -> Answer:
-    """Exact answer by direct counting; the reference oracle for all tests."""
+    """Exact answer by direct counting; the reference oracle for all tests.
+
+    A strict majority color fills the middle of the sorted colors, so the
+    median found by a partition is the only candidate, and one count of
+    its class decides.  The witness is the candidate's first ball.
+    """
     if balls is None:
-        colors = instance.colors
-        indices = range(1, instance.n + 1)
+        colors = instance.color_array
     else:
-        colors = tuple(instance.color_of(b) for b in balls)
-        indices = tuple(balls)
+        balls = np.asarray(balls, dtype=np.int64)
+        colors = instance.color_array[balls - 1]
     m = len(colors)
     if m == 0:
         return Answer.no_majority()
-    counts = Counter(colors)
-    color, count = counts.most_common(1)[0]
+    median = np.partition(colors, m // 2)[m // 2]
+    same = colors == median
+    count = int(np.count_nonzero(same))
     if count > m // 2:
-        witness = next(b for b, c in zip(indices, colors) if c == color)
-        return Answer.majority(witness, count)
+        first = int(same.argmax())
+        return Answer.majority(first + 1 if balls is None else int(balls[first]), count)
     return Answer.no_majority()
 
 

@@ -1,23 +1,25 @@
 """Instances, the counting comparison oracle, and instance generators.
 
-An instance is n colored balls, identified by the indices 1..n.  Algorithms
-never see colors; they learn about them only through CountingOracle, which
-answers "same color?" one pair at a time (``cmp``), for a whole batch of
-pairs (``cmp_many``), or as an early-stopping scan over pairs
-(``scan_until``), and bills one comparison for every answer it hands out.
+An instance is n colored balls, identified by the indices 1..n, whose
+colors are one read-only int64 array that generation, the oracle, brute
+force and the instance files all read.  Algorithms never see colors; they
+learn about them only through CountingOracle, which answers "same color?"
+one pair at a time (``cmp``), for a whole batch of pairs (``cmp_many``), or
+as an early-stopping scan over pairs (``scan_until``), and bills one
+comparison for every answer it hands out.
 The oracle can optionally record a transcript of (x, y, equal) triples,
 which is what the certificate auditing in `certify` consumes.
 
 The billing rule is that the solver never learns a comparison it is not
-billed for.  ``scan_until`` may look up colors past its stopping point, but
-nothing past the stop is billed, recorded or returned.
+billed for.  ``scan_until`` looks colors up in doubling windows and may
+look past its stopping point, but nothing past the stop is billed, recorded
+or returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,46 +39,75 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Instance:
-    """Immutable multiset of colored balls; colors are opaque unsigned ints."""
+    """Immutable multiset of colored balls; colors are opaque unsigned ints.
 
-    colors: tuple[int, ...]
+    The colors live in one read-only int64 array, ``color_array``, which
+    construction copies from a sequence or array, or adopts without a copy
+    when it is already a read-only int64 array.  Color ids too large for
+    int64 are stored as their ranks among the instance's distinct ids,
+    which keeps every equality and the order of the ids, and the ids
+    themselves are kept as the table of labels those ranks index.
+    """
 
-    def __post_init__(self):
-        if self.colors and min(self.colors) < 0:
+    __slots__ = ("color_array", "_labels")
+
+    def __init__(self, colors: Sequence[int] | np.ndarray):
+        labels = None
+        int64_array = isinstance(colors, np.ndarray) and colors.dtype == np.int64
+        if int64_array and not colors.flags.writeable:
+            ids = colors
+        else:
+            try:
+                ids = np.array(colors, dtype=np.int64)
+            except OverflowError:
+                colors = [int(c) for c in colors]
+                labels = tuple(sorted(set(colors)))
+                if labels[0] < 0:
+                    raise ValueError("color ids must be unsigned") from None
+                rank = {c: i for i, c in enumerate(labels)}
+                ids = np.array([rank[c] for c in colors], dtype=np.int64)
+        if ids.ndim != 1:
+            raise ValueError(f"colors must be one-dimensional, got shape {ids.shape}")
+        if len(ids) and ids.min() < 0:
             raise ValueError("color ids must be unsigned")
+        ids.flags.writeable = False
+        object.__setattr__(self, "color_array", ids)
+        object.__setattr__(self, "_labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Instance is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Instance, (self.color_array if self._labels is None else self.colors,)
 
     @property
     def n(self) -> int:
-        return len(self.colors)
+        return len(self.color_array)
+
+    @property
+    def colors(self) -> tuple[int, ...]:
+        """The color ids as a tuple of Python ints, built on each call."""
+        if self._labels is None:
+            return tuple(self.color_array.tolist())
+        return tuple(map(self._labels.__getitem__, self.color_array.tolist()))
 
     def color_of(self, ball: int) -> int:
         """Color of a 1-based ball index. Test/generator privilege only."""
-        return self.colors[ball - 1]
+        color = int(self.color_array[ball - 1])
+        return color if self._labels is None else self._labels[color]
 
-    @cached_property
-    def color_array(self) -> np.ndarray:
-        """The colors as a read-only int64 array, for batched comparisons.
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        same_labels = self._labels == other._labels
+        return same_labels and np.array_equal(self.color_array, other.color_array)
 
-        Colors too large for int64 are replaced by dense ids in order of
-        first appearance, which keeps every equality and nothing else.
-        """
-        try:
-            ids = np.array(self.colors, dtype=np.int64)
-        except OverflowError:
-            dense: dict[int, int] = {}
-            ids = np.array([dense.setdefault(c, len(dense)) for c in self.colors], dtype=np.int64)
-        ids.flags.writeable = False
-        return ids
+    def __hash__(self):
+        return hash((self.color_array.tobytes(), self._labels))
 
-
-def _instance_of(ids: np.ndarray) -> Instance:
-    """An Instance over an int64 color array, which it keeps as color_array."""
-    instance = Instance(tuple(ids.tolist()))
-    ids.flags.writeable = False
-    instance.__dict__["color_array"] = ids  # the slot cached_property fills
-    return instance
+    def __repr__(self):
+        return f"Instance({self.colors!r})"
 
 
 class ComparisonRecord(NamedTuple):
@@ -128,6 +159,10 @@ class Transcript:
         return map(ComparisonRecord._make, zip(left.tolist(), right.tolist(), equal.tolist()))
 
 
+# The shortest window of pairs whose colors scan_until looks up at once.
+_FIRST_WINDOW = 1024
+
+
 class CountingOracle:
     """Comparison oracle over one instance.
 
@@ -138,12 +173,13 @@ class CountingOracle:
     order the equivalent cmp calls would make them.
     """
 
-    __slots__ = ("instance", "_colors", "_n", "comparisons", "_transcript")
+    __slots__ = ("instance", "_ids", "_colors", "_n", "comparisons", "_transcript")
 
     def __init__(self, instance: Instance, record_transcript: bool = False):
         self.instance = instance
-        self._colors = instance.colors
-        self._n = len(instance.colors)
+        self._ids = instance.color_array
+        self._colors = memoryview(self._ids)  # indexes to Python ints, for scalar cmp
+        self._n = instance.n
         self.comparisons = 0
         self._transcript: Transcript | None = Transcript() if record_transcript else None
 
@@ -187,7 +223,7 @@ class CountingOracle:
             if xs.shape != ys.shape:
                 raise ValueError(f"cmp_many: {xs.shape} left balls against {ys.shape} right")
         ix, iy = self._index("cmp_many", xs), self._index("cmp_many", ys)
-        ids = self.instance.color_array
+        ids = self._ids
         equal = ids[iy] == ids[ix]
         self.comparisons += len(ys)
         if self._transcript is not None:
@@ -215,32 +251,50 @@ class CountingOracle:
             raise ValueError(f"scan_until: {firsts.shape} first balls against {seconds.shape}")
         if k < 1:
             raise ValueError(f"scan_until: k must be at least 1, got {k}")
-        ids = self.instance.color_array
-        first = ids[self._index("scan_until", firsts)]
-        second = ids[self._index("scan_until", seconds)]
-        if v is None:
-            events = first != second
-        else:
-            color = ids[self._index("scan_until", v)]
-            miss = first != color
-            events = miss & (second != color)
-        stops = events.nonzero()[0]
-        walked = int(stops[k - 1]) + 1 if k <= len(stops) else len(events)
-        events = events[:walked]
+        ids = self._ids
+        ix, iy = self._index("scan_until", firsts), self._index("scan_until", seconds)
+        color = None if v is None else ids[self._index("scan_until", v)]
+        # Colors are looked up in windows that double in length, never twice
+        # for one pair, until the k-th event is inside one.  The k-th event
+        # is at pair k or later, and a lookup costs less than a numpy call,
+        # so the first window holds max(k, _FIRST_WINDOW) pairs.
+        chunks: list[np.ndarray] = []
+        misses: list[np.ndarray] = []
+        found, lo, hi = 0, 0, min(len(ix), max(k, _FIRST_WINDOW))
+        walked = len(ix)
+        while True:
+            first, second = ids[ix[lo:hi]], ids[iy[lo:hi]]
+            if color is None:
+                event = first != second
+            else:
+                miss = first != color
+                misses.append(miss)
+                event = miss & (second != color)
+            chunks.append(event)
+            hits = event.nonzero()[0]
+            if found + len(hits) >= k:
+                walked = lo + int(hits[k - 1 - found]) + 1
+                break
+            if hi == len(ix):
+                break
+            found += len(hits)
+            lo, hi = hi, min(len(ix), 2 * hi)
+        events = np.concatenate(chunks)[:walked]
         if v is None:
             self.comparisons += walked
             if self._transcript is not None:
                 left, right = firsts[:walked].copy(), seconds[:walked].copy()
                 self._transcript._add_batch(left, right, ~events)
             return events
-        miss = miss[:walked]
+        miss = np.concatenate(misses)[:walked]
         asked = walked + int(np.count_nonzero(miss))
         self.comparisons += asked
         if self._transcript is not None:
-            # Row i holds pair i's two comparisons; the second is asked only on a miss.
-            mask = np.array((np.ones(walked, dtype=bool), miss)).T
-            right = np.array((firsts[:walked], seconds[:walked])).T[mask]
-            equal = ~np.array((miss, events)).T[mask]
+            # Pair i asks v against firsts[i] in slot 2i and, only on a miss,
+            # against seconds[i] in slot 2i + 1.
+            slots = np.column_stack((np.ones(walked, dtype=bool), miss)).ravel().nonzero()[0]
+            right = np.column_stack((firsts[:walked], seconds[:walked])).ravel().take(slots)
+            equal = np.column_stack((~miss, ~events)).ravel().take(slots)
             self._transcript._add_batch(np.full(asked, v, dtype=np.int64), right, equal)
         return events
 
@@ -388,18 +442,14 @@ def generate(spec: DistributionSpec | str, n: int, rng: RandomStream) -> Instanc
         raise ValueError("n must be nonnegative")
 
     if spec.kind == "distinct":
-        return _instance_of(np.arange(1, n + 1, dtype=np.int64))
-
-    if spec.kind == "binary":
+        ids = np.arange(1, n + 1, dtype=np.int64)
+    elif spec.kind == "binary":
         draws = rng.numpy_child().random(n)
-        return _instance_of(np.where(draws < spec.p, 1, 2).astype(np.int64))
-
-    if spec.kind == "uniform":
+        ids = np.where(draws < spec.p, 1, 2).astype(np.int64, copy=False)
+    elif spec.kind == "uniform":
         k = spec.k if spec.k is not None else max(n, 1)
-        draws = rng.numpy_child().integers(1, k + 1, size=n, dtype=np.int64)
-        return _instance_of(draws)
-
-    if spec.kind == "profile":
+        ids = rng.numpy_child().integers(1, k + 1, size=n, dtype=np.int64)
+    elif spec.kind == "profile":
         if spec.counts:
             counts = list(spec.counts)
             if sum(counts) != n:
@@ -410,20 +460,22 @@ def generate(spec: DistributionSpec | str, n: int, rng: RandomStream) -> Instanc
                 remainder = max(0.0, 1.0 - sum(fractions))
                 fractions += [remainder / spec.rest_colors] * spec.rest_colors
             counts = _rounded_counts(fractions, n)
-        colors = np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64), counts)
-        order = rng.numpy_child().permutation(n)
-        return _instance_of(colors[order])
-
-    raise ValueError(f"unknown distribution kind {spec.kind!r}")
+        ids = np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64), counts)
+        # The same draws as ids[permutation(n)], without the index array.
+        rng.numpy_child().shuffle(ids)
+    else:
+        raise ValueError(f"unknown distribution kind {spec.kind!r}")
+    ids.flags.writeable = False  # so that Instance adopts it without a copy
+    return Instance(ids)
 
 
 def relabel(instance: Instance, rng: RandomStream) -> Instance:
     """Randomly permute color ids. Answers must be invariant under this."""
-    ids = sorted(set(instance.colors))
-    shuffled = list(ids)
+    ids, inverse = np.unique(instance.color_array, return_inverse=True)
+    # Rank ids are in label order, so the labels table lines up with ids.
+    shuffled = ids.tolist() if instance._labels is None else list(instance._labels)
     rng.shuffle(shuffled)
-    mapping = dict(zip(ids, shuffled))
-    return Instance(tuple(mapping[c] for c in instance.colors))
+    return Instance(np.array(shuffled, dtype=object)[inverse])
 
 
 # ----------------------------------------------------------------------
@@ -456,6 +508,7 @@ def read_instance(path: str) -> Instance:
     n, colors = values[0], values[1:]
     if len(colors) != n:
         raise ValueError(f"{path}: header says n={n} but found {len(colors)} colors")
-    if any(c < 0 for c in colors):
-        raise ValueError(f"{path}: color ids must be unsigned")
-    return Instance(tuple(colors))
+    try:
+        return Instance(colors)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,6 +1,9 @@
 """The deterministic baseline: exactness, cost bound, certificates."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from majoritylab import (
     Answer,
@@ -80,3 +83,42 @@ def test_worst_case_alternation_hits_bound():
     _, _, comparisons, audit_ok = run_boyer_moore(inst)
     assert comparisons <= 2 * 20 - 2
     assert audit_ok
+
+
+def scalar_boyer_moore(oracle, balls):
+    """Both passes one cmp at a time: the order boyer_moore must record."""
+    candidate, counter, stack, cancelled = balls[0], 1, [balls[0]], []
+    for b in balls[1:]:
+        if counter == 0:
+            candidate, counter = b, 1
+            stack.append(b)
+        elif oracle.cmp(candidate, b):
+            counter += 1
+            stack.append(b)
+        else:
+            counter -= 1
+            cancelled.append((stack.pop(), b))
+    count = 1 + sum(oracle.cmp(candidate, b) for b in balls if b != candidate)
+    if count > len(balls) // 2:
+        return Answer.majority(candidate, count), None
+    pairs = np.array(cancelled, dtype=np.int64).reshape(-1, 2)
+    return Answer.no_majority(), Certificate(pairs=pairs, candidate=candidate)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    colors=st.lists(st.integers(1, 4), min_size=1, max_size=40),
+    picks=st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+)
+@example(colors=[1], picks=None)
+@example(colors=[1, 2, 1, 2, 1, 2], picks=[5, 0, 3])
+def test_recorded_transcript_matches_scalar_two_pass_reference(colors, picks):
+    inst = Instance(colors)
+    balls = list(range(1, inst.n + 1)) if picks is None else list(
+        dict.fromkeys(p % inst.n + 1 for p in picks)
+    )
+    oracle = CountingOracle(inst, record_transcript=True)
+    scalar = CountingOracle(inst, record_transcript=True)
+    assert boyer_moore(oracle, balls) == scalar_boyer_moore(scalar, balls)
+    assert oracle.comparisons == scalar.comparisons
+    assert list(oracle.transcript) == list(scalar.transcript)

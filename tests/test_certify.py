@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_auditor
+from reference_brute_force import counter_majority
 
 from majoritylab import (
     Answer,
@@ -310,6 +311,23 @@ def test_brute_force_on_subset():
     truth = brute_force_majority(inst, balls=[2, 3, 4])
     assert truth.is_majority and truth.multiplicity == 2
     assert inst.color_of(truth.witness) == 2
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    colors=st.lists(st.integers(0, 4) | st.just(2**70), max_size=40),
+    picks=st.none() | st.lists(st.integers(0, 10**6), max_size=40),
+)
+@example(colors=[], picks=None)
+@example(colors=[3, 1, 3, 2, 3], picks=[4, 1, 0])  # a subset whose majority is not the instance's
+@example(colors=[2**70, 1, 2**70], picks=None)  # ids beyond int64
+def test_brute_force_matches_counter_reference(colors, picks):
+    # The median-and-count brute force names the same answer and the same
+    # first witness as counting every color, over the whole instance or
+    # over a sequence of its balls in the caller's order.
+    inst = Instance(colors)
+    balls = None if picks is None or not colors else [p % len(colors) + 1 for p in picks]
+    assert brute_force_majority(inst, balls) == counter_majority(inst, balls)
 
 
 def set_partitions(n, prefix=()):

@@ -1,5 +1,7 @@
 """Instances, the counting oracle, and the distribution grammar."""
 
+import hashlib
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -26,6 +28,36 @@ def test_instance_basics():
     assert inst.n == 3
     assert inst.color_of(1) == 5
     assert inst.color_of(3) == 7
+
+
+@pytest.mark.parametrize(
+    "colors", [(3, 0, 3), [3, 0, 3], np.array([3, 0, 3]), np.array([3, 0, 3], dtype=np.uint8)]
+)
+def test_instance_is_one_read_only_int64_array(colors):
+    inst = Instance(colors)
+    assert inst == Instance((3, 0, 3)) and hash(inst) == hash(Instance((3, 0, 3)))
+    assert inst != Instance((3, 0, 4)) and inst != Instance((3, 0))
+    assert inst.color_array.dtype == np.int64 and inst.color_array.tolist() == [3, 0, 3]
+    assert inst.colors == (3, 0, 3) and inst.n == 3
+    with pytest.raises(ValueError):
+        inst.color_array[0] = 1
+    with pytest.raises(AttributeError):
+        inst.color_array = np.zeros(3, dtype=np.int64)
+    copied = pickle.loads(pickle.dumps(inst))
+    assert copied == inst and not copied.color_array.flags.writeable
+    if isinstance(colors, np.ndarray):
+        colors[0] = 9  # a writeable array is copied, not adopted
+        assert inst.color_of(1) == 3 and colors.flags.writeable
+
+
+def test_instance_of_no_balls_and_bad_ids():
+    empty = Instance(())
+    assert empty.n == 0 and empty.colors == () and empty == Instance([])
+    for bad in ((1, -1), np.array([0, -5]), (2**70, -(2**70))):
+        with pytest.raises(ValueError, match="unsigned"):
+            Instance(bad)
+    with pytest.raises(ValueError):
+        Instance(np.ones((2, 2), dtype=np.int64))
 
 
 def test_oracle_counts_every_call():
@@ -227,6 +259,37 @@ def test_scan_until_records_in_call_order_with_scalar_calls():
     assert oracle.comparisons == 9
 
 
+def scalar_scan(oracle, v, firsts, seconds, k):
+    """The pair-by-pair loop that scan_until must bill and record."""
+    events = []
+    for a, b in zip(firsts.tolist(), seconds.tolist()):
+        if v is None:
+            events.append(not oracle.cmp(a, b))
+        else:
+            events.append(not oracle.cmp(v, a) and not oracle.cmp(v, b))
+        k -= events[-1]
+        if k == 0:
+            break
+    return events
+
+
+@pytest.mark.parametrize("v", [None, 1])
+@pytest.mark.parametrize("k", [1, 600, 1000, 1500, 2100, 2500, 10**6])
+def test_scan_until_matches_the_loop_across_windows(v, k):
+    # 5,000 pairs over three colors: the stops land in each of the windows
+    # (1,024, 2,048, 4,096 and 5,000 pairs), and a k past the last event
+    # walks every pair.
+    inst = generate("uniform:k=3", 10_001, RandomStream(13))
+    firsts, seconds = np.arange(2, 10_001, 2), np.arange(3, 10_002, 2)
+    oracle = CountingOracle(inst, record_transcript=True)
+    scalar = CountingOracle(inst, record_transcript=True)
+    assert oracle.scan_until(v, firsts, seconds, k).tolist() == scalar_scan(
+        scalar, v, firsts, seconds, k
+    )
+    assert oracle.comparisons == scalar.comparisons
+    assert list(oracle.transcript) == list(scalar.transcript)
+
+
 # -- distribution grammar ----------------------------------------------
 
 
@@ -323,6 +386,30 @@ def test_generate_deterministic_per_stream():
     a = generate("binary:p=0.5", 100, RandomStream(7, "g", 1))
     b = generate("binary:p=0.5", 100, RandomStream(7, "g", 1))
     assert a.colors == b.colors
+
+
+# sha256 of generate(spec, n, RandomStream(11, spec, n)).color_array.tobytes(),
+# derived before the in-place profile shuffle and the array-only Instance:
+# neither may move a single generated color.
+GENERATED = (
+    ("binary:p=0.5", 12, "91ab9d08186e7582f4b53e12f2b96c2434d4dfdce8b149011fd66d0e1a192767"),
+    ("binary:p=0.5", 4096, "06d7530918291f77b88263e1ada5ee17533992c06231b552e63beb5a59c03693"),
+    ("uniform:k=3", 12, "ce65eff02a0fb25c254968b99b78ee8a323b65a64859c1fa8dd51c3e5f537764"),
+    ("uniform:k=3", 4096, "d00f48a7f0f36e61d829ffe9536f9c7ea27403f524a2fdf8a01d97dcb6afb95c"),
+    ("uniform:k=n", 12, "099f3577d87866383eaf712bdc94a103264e7e05bb360a32b5065dc361f5b75f"),
+    ("uniform:k=n", 4096, "6406222dedfce7f014ebbb4f44229410efec7c6ce7bab849ee2d43f9285f9e83"),
+    ("profile:0.48,rest=100", 12, "ac4640c8126f5cf57ceab8c48f4d0fd3e285592b73f77a34f6e513b27465d51d"),
+    ("profile:0.48,rest=100", 4096, "e2d08d848314ca2d501f85176e0eaaa6d59d556f7b70e53903de5462603ac28d"),
+    ("profile:7,5", 12, "c3b4b103a11f16ff8b92b2e10d4bbd23a555b8e9de20a90e7add82283509af3e"),
+    ("distinct", 12, "a2a5d426b0027a8e8cc28cfd6ee59b118d01d66a1a21c92c874e5f85902cba2e"),
+    ("distinct", 4096, "040ee168517e5e406b3de1b12c34bdaf0bf154eba3e5ead4419676648f041559"),
+)
+
+
+@pytest.mark.parametrize("spec,n,digest", GENERATED)
+def test_generated_colors_are_pinned(spec, n, digest):
+    inst = generate(spec, n, RandomStream(11, spec, n))
+    assert hashlib.sha256(inst.color_array.tobytes()).hexdigest() == digest
 
 
 def test_generated_instance_keeps_its_color_array():
