@@ -50,8 +50,6 @@ from .randomized import (
     LevelStats,
     Params,
     RunStats,
-    SampleEstimate,
-    estimate_frequencies,
     heavy,
     majority,
 )
@@ -98,8 +96,6 @@ __all__ = [
     "LevelStats",
     "Params",
     "RunStats",
-    "SampleEstimate",
-    "estimate_frequencies",
     "heavy",
     "majority",
     "RandomStream",

@@ -30,11 +30,15 @@ def boyer_moore(
 
     Returns (answer, certificate); the certificate is present exactly when
     the answer is no-majority.  Majority answers are validated straight off
-    the transcript, so they carry no extra structure.
+    the transcript, so they carry no extra structure.  Given balls must be
+    distinct (ValueError, before any comparison).
     """
     if balls is None:
-        balls = range(1, oracle.instance.n + 1)
-    balls = list(balls)
+        balls = list(range(1, oracle.instance.n + 1))
+    else:
+        balls = list(balls)
+        if len(set(balls)) < len(balls):
+            raise ValueError("balls must be distinct")
     m = len(balls)
     start = oracle.comparisons
 

@@ -75,9 +75,6 @@ class EqStructure:
     size: np.ndarray
     keys: np.ndarray
 
-    def same_class(self, x: int, y: int) -> bool:
-        return bool(self.label[x] == self.label[y])
-
     def provably_unequal(self, x: int, y: int) -> bool:
         lx, ly = int(self.label[x]), int(self.label[y])
         key = min(lx, ly) * (self.n + 1) + max(lx, ly)
@@ -88,9 +85,6 @@ class EqStructure:
 
     def class_roots(self) -> list[int]:
         return np.flatnonzero(self.label == np.arange(self.n + 1))[1:].tolist()
-
-    def conflict_roots_of(self, x: int) -> set[int]:
-        return set(self.rivals(int(self.label[x])).tolist())
 
     def rivals(self, lx: int) -> np.ndarray:
         """Labels of the classes a recorded conflict separates from class lx.

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a contract is violated (wrong answer,
 rejected certificate, failed audit, or a ContractViolation raised by a
-run), 2 on usage errors.
+run), 2 on usage errors and on a quadrature that cannot reach the
+requested tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .certify import answer_matches_brute_force, brute_force_majority, verify_ru
 from .core import CountingOracle, generate, read_instance
 from .lowerbound import (
     STRATEGIES,
+    ConvergenceError,
     beta_interval,
     lower_bound_constant,
     simulate_balance,
@@ -269,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as exc:
         print(f"contract violated: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValueError, ConvergenceError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

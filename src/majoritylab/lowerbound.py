@@ -236,8 +236,12 @@ class BalanceStats:
     max_balance_mean: tuple[float, ...]  # M_k at each checkpoint
 
 
-def _checkpoint_grid(n: int, points: int) -> list[int]:
-    ks = sorted({int(round(x)) for x in np.linspace(0, n - 1, points)})
+# simulate_balance records its trajectory at this many evenly spaced steps.
+_CHECKPOINTS = 41
+
+
+def _checkpoint_grid(n: int) -> list[int]:
+    ks = sorted({int(round(x)) for x in np.linspace(0, n - 1, _CHECKPOINTS)})
     return [k for k in ks if 0 <= k <= n - 1]
 
 
@@ -246,7 +250,6 @@ def simulate_balance(
     strategy: str = "uniform",
     trials: int = 100,
     rng: RandomStream | None = None,
-    checkpoint_count: int = 41,
 ) -> BalanceStats:
     """Run ``trials`` independent merge processes to a single component.
 
@@ -272,7 +275,7 @@ def simulate_balance(
     by_color = np.zeros((trials, 2), dtype=np.int64)
     rows = np.arange(trials)
 
-    grid = _checkpoint_grid(n, checkpoint_count)
+    grid = _checkpoint_grid(n)
     want = set(grid)
     nk_mean: dict[int, float] = {}
     mk_mean: dict[int, float] = {}
@@ -419,8 +422,8 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, eps, depth):
 
 def integrate(f, a: float, b: float, tolerance: float, max_depth: int = 60) -> float:
     """Adaptive Simpson quadrature to the given absolute tolerance."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -433,8 +436,8 @@ def lower_bound_constant(tolerance: float = 1e-8) -> float:
     Evaluates 1 + int_0^{2/3} (1/6)(1 - Phi(sqrt((3x/2)/(1 - 3x/2)))) dx,
     which is approximately 1.0191289.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     return 1.0 + integrate(_cost_integrand, 0.0, 2.0 / 3.0, tolerance / 2.0)
 
 

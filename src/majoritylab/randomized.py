@@ -22,8 +22,6 @@ about 1.09n, below the pairing step's 7n/6.
 ``heavy`` is the census strategy: census the candidate, and when it falls
 short, finish the no-majority certificate by pairing off the rest in the
 order the balls arrive, which a dispatching level has already shuffled.
-``estimate_frequencies`` classifies an explicit sample ball by ball; the
-driver does not use it, because its cost grows with the number of classes.
 
 Balls travel between levels as int64 arrays, and certificates carry their
 pairs as one ``(k, 2)`` int64 array that every producer builds by stacking
@@ -54,10 +52,8 @@ from .rng import RandomStream
 
 __all__ = [
     "Params",
-    "SampleEstimate",
     "RunStats",
     "LevelStats",
-    "estimate_frequencies",
     "majority",
     "heavy",
 ]
@@ -79,21 +75,6 @@ class Params:
             raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
         if self.cap_factor < 1:
             raise ValueError("cap_factor must be positive")
-
-
-@dataclass(frozen=True)
-class SampleEstimate:
-    """Frequency estimate from a without-replacement sample.
-
-    Classes are ordered by decreasing sample frequency, ties broken by
-    first appearance; ``representatives[i]`` is the first sampled ball of
-    the i-th class.
-    """
-
-    representatives: tuple[int, ...]
-    frequencies: tuple[float, ...]
-    sample_size: int
-    comparisons: int
 
 
 # A level samples the first min(m//2, _SAMPLE_ROOTS * isqrt(m)) pairs of its
@@ -165,34 +146,6 @@ class RunStats:
     depth: int
     branch_trace: tuple[str, ...]
     levels: tuple[LevelStats, ...]
-
-
-def estimate_frequencies(oracle: CountingOracle, sample: Sequence[int]) -> SampleEstimate:
-    """Classify the sample against first-seen representatives.
-
-    Each ball is compared against the representatives found so far until it
-    matches one or founds its own class, so the cost is at most
-    len(sample) * (number of distinct classes) comparisons.
-    """
-    start = oracle.comparisons
-    reps: list[int] = []
-    sizes: list[int] = []
-    for b in sample:
-        for i, r in enumerate(reps):
-            if oracle.cmp(b, r):
-                sizes[i] += 1
-                break
-        else:
-            reps.append(b)
-            sizes.append(1)
-    total = len(sample)
-    order = sorted(range(len(reps)), key=lambda i: -sizes[i])
-    return SampleEstimate(
-        representatives=tuple(reps[i] for i in order),
-        frequencies=tuple(sizes[i] / total for i in order),
-        sample_size=total,
-        comparisons=oracle.comparisons - start,
-    )
 
 
 class _Run:
@@ -556,7 +509,8 @@ def _drive(
 ) -> tuple[Answer, Certificate | None, RunStats]:
     """Run ``top`` on the balls and enforce the contract on the result.
 
-    Balls travel between levels as int64 arrays.  The comparison cap
+    Balls travel between levels as int64 arrays.  Given balls must be
+    distinct (ValueError, before any comparison).  The comparison cap
     (params.cap_factor per ball) and the depth bound are checked with
     ContractViolation, so they hold under ``python -O`` too.
     """
@@ -564,6 +518,8 @@ def _drive(
         balls = np.arange(1, oracle.instance.n + 1, dtype=np.int64)
     else:
         balls = np.fromiter(balls, dtype=np.int64)
+        if len(np.unique(balls)) < len(balls):
+            raise ValueError("balls must be distinct")
     if not len(balls):
         return Answer.no_majority(), Certificate(), RunStats(0, 0, (), ())
     run = _Run(

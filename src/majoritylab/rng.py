@@ -97,26 +97,6 @@ class RandomStream:
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def sample_indices(self, m: int, k: int) -> list[int]:
-        """k distinct integers from [1, m], uniform over k-subsets.
-
-        Floyd's algorithm: O(k) time and space regardless of m, which matters
-        because callers routinely draw m**(1/3) elements out of millions.
-        The result order is an artifact of the algorithm; callers that need
-        an unbiased order should shuffle.
-        """
-        if not 0 <= k <= m:
-            raise ValueError(f"cannot sample {k} of {m}")
-        chosen: set[int] = set()
-        out: list[int] = []
-        for i in range(m - k + 1, m + 1):
-            j = self.randrange(i) + 1
-            if j in chosen:
-                j = i
-            chosen.add(j)
-            out.append(j)
-        return out
-
     def numpy_generator(self):
         """A numpy Generator seeded from this stream's identity.
 

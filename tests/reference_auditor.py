@@ -35,7 +35,7 @@ class LoopEqStructure:
     def class_roots(self) -> list[int]:
         return [b for b in range(1, self.n + 1) if self.label[b] == b]
 
-    def conflict_roots_of(self, x: int) -> set[int]:
+    def rival_labels(self, x: int) -> set[int]:
         lx = self.label[x]
         return {b if a == lx else a for a, b in self.conflicts if lx in (a, b)}
 
@@ -102,7 +102,7 @@ def check_majority_claim(eq: LoopEqStructure, answer: Answer, n: int) -> CheckRe
     if proven != mult:
         return CheckResult(False, f"witness class has {proven} proven members, claim says {mult}")
     lv = eq.label[v]
-    rivals = eq.conflict_roots_of(v)
+    rivals = eq.rival_labels(v)
     for r in eq.class_roots():
         if r != lv and r not in rivals:
             return CheckResult(False, f"class of ball {r} is not proven unequal to witness")
@@ -142,7 +142,7 @@ def check_no_majority_claim(eq: LoopEqStructure, cert: Certificate, n: int) -> C
         return CheckResult(False, f"candidate {v} out of range")
     label = eq.label
     lv = label[v]
-    rivals = eq.conflict_roots_of(v)
+    rivals = eq.rival_labels(v)
 
     loose = sum(1 for b in uncovered if label[b] != lv)
     if len(units) + loose > half:

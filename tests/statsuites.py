@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from majoritylab import CountingOracle, RandomStream, estimate_frequencies, generate
+from majoritylab import CountingOracle, RandomStream, generate, majority
 
 
 @dataclass(frozen=True)
@@ -57,23 +57,11 @@ def sampling_accuracy(
     mean_ok = abs(q.mean() - p) <= 3 * sigma / math.sqrt(trials)
     spread_ok = abs(q.std(ddof=1) / sigma - 1) <= 0.05
 
-    # The same claim exercised through the package's own sampler.
-    own_ok = True
-    rng = RandomStream(seed, "suite/sampling-own")
-    own_hits = []
-    for _ in range(200):
-        sample = rng.sample_indices(n, k)
-        own_hits.append(sum(1 for s in sample if s <= marked))
-    own_q = np.array(own_hits) / k
-    own_ok = bool(np.all(np.abs(own_q - p) <= bound)) and abs(
-        own_q.mean() - p
-    ) <= 4 * sigma / math.sqrt(len(own_hits))
-
     return SuiteResult(
         name="sampling_accuracy",
         trials=trials,
         fraction_within=within,
-        companions_ok=mean_ok and spread_ok and own_ok,
+        companions_ok=mean_ok and spread_ok,
         detail=(
             f"bound={bound:.4f} mean_gap={q.mean() - p:+.2e} "
             f"sigma_ratio={q.std(ddof=1) / sigma:.3f}"
@@ -182,41 +170,51 @@ def draws_until_quota(
     )
 
 
-def frequency_estimate_spread(
-    n: int = 10**6, sample: int = 100, trials: int = 300, seed: int = 1005
+def dispatch_sample_estimate(
+    n: int = 10**5, trials: int = 300, seed: int = 1005
 ) -> SuiteResult:
-    """Sum of squared frequencies estimated from a small sample.
+    """The root level's sample, the estimate its dispatch reads.
 
-    Claim under test, via the package's own estimator: the sample's sum of
-    squared class frequencies lands within sample^(-1/3) * ln n of the
-    population's.  Companion: the estimator's known upward bias for
-    with-replacement-style sampling, (1 - sum p^2)/sample, matches the
-    observed mean within four empirical standard errors.
+    A level compares the first k = 2 isqrt(n) pairs of its random pairing;
+    each is an equal pair of the top colour with probability
+    p = c1 (c1 - 1) / (n (n - 1)), so hits/k estimates p and q1_estimate
+    = sqrt(hits/k) estimates q1.  On profile:0.45,rest=1000 the top colour
+    is the class the sample censuses.  Claim under test: |hits/k - p|
+    stays within sqrt(ln n / (2k)), Hoeffding's bound at failure
+    probability 2/n for k near-independent pairs.  Companions: the mean of
+    hits/k matches p within three standard errors, its spread matches the
+    binomial sigma sqrt(p (1 - p) / k) within 15 percent (about 3.5
+    standard errors of a 300-run spread), the mean of q1_estimate matches
+    sqrt(p) within three standard errors, and q1_estimate is sqrt(hits/k).
     """
-    inst = generate("profile:0.3,0.25,0.25,0.2", n, RandomStream(seed, "suite/freq-inst"))
-    p_squared = sum((c / n) ** 2 for c in np.bincount(np.array(inst.colors))[1:])
-    rng = RandomStream(seed, "suite/freq")
-    bound = sample ** (-1 / 3) * math.log(n)
-    values = np.empty(trials)
+    inst = generate("profile:0.45,rest=1000", n, RandomStream(seed, "suite/dispatch-inst"))
+    c1 = int(np.bincount(inst.color_array).max())
+    p = c1 * (c1 - 1) / (n * (n - 1))
+    rates = np.empty(trials)
+    q1 = np.empty(trials)
     for t in range(trials):
-        oracle = CountingOracle(inst)
-        balls = rng.sample_indices(n, sample)
-        est = estimate_frequencies(oracle, balls)
-        values[t] = sum(f * f for f in est.frequencies)
-    within = float(np.mean(np.abs(values - p_squared) <= bound))
+        _, _, stats = majority(CountingOracle(inst), rng=RandomStream(seed, "suite/dispatch", t))
+        root = stats.levels[0]
+        rates[t] = root.sample_hits / root.sample_pairs
+        q1[t] = root.q1_estimate
+    k = root.sample_pairs
+    bound = math.sqrt(math.log(n) / (2 * k))
+    within = float(np.mean(np.abs(rates - p) <= bound))
 
-    expected_mean = p_squared + (1 - p_squared) / sample
-    se = values.std(ddof=1) / math.sqrt(trials)
-    mean_ok = abs(values.mean() - expected_mean) <= 4 * se
+    sigma = math.sqrt(p * (1 - p) / k)
+    mean_ok = abs(rates.mean() - p) <= 3 * sigma / math.sqrt(trials)
+    spread_ok = abs(rates.std(ddof=1) / sigma - 1) <= 0.15
+    q1_ok = abs(q1.mean() - math.sqrt(p)) <= 3 * q1.std(ddof=1) / math.sqrt(trials)
+    read_ok = bool(np.allclose(q1, np.sqrt(rates), rtol=0, atol=1e-12))
 
     return SuiteResult(
-        name="frequency_estimate_spread",
+        name="dispatch_sample_estimate",
         trials=trials,
         fraction_within=within,
-        companions_ok=mean_ok,
+        companions_ok=mean_ok and spread_ok and q1_ok and read_ok,
         detail=(
-            f"bound={bound:.3f} mean={values.mean():.5f} "
-            f"expected={expected_mean:.5f} se={se:.2e}"
+            f"k={k} bound={bound:.4f} mean={rates.mean():.4f} p={p:.4f} "
+            f"sd={rates.std(ddof=1):.4f} sigma={sigma:.4f} q1_mean={q1.mean():.4f}"
         ),
     )
 
@@ -226,5 +224,5 @@ ALL_SUITES = (
     pair_collision_count,
     partition_pair_total,
     draws_until_quota,
-    frequency_estimate_spread,
+    dispatch_sample_estimate,
 )

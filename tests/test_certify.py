@@ -37,8 +37,8 @@ def rec(a, b, equal):
 
 def test_eq_structure_unions_and_conflicts():
     eq = build_eq_structure(5, [rec(1, 2, True), rec(2, 3, True), rec(3, 4, False)])
-    assert eq.same_class(1, 3)
-    assert not eq.same_class(1, 4)
+    assert eq.label[1] == eq.label[3]
+    assert eq.label[1] != eq.label[4]
     assert eq.provably_unequal(1, 4)  # 1 joined 3, and 3 conflicts 4
     assert not eq.provably_unequal(1, 5)  # never compared, nothing provable
     assert eq.class_size(2) == 3
@@ -103,13 +103,13 @@ def test_eq_structure_matches_naive_components(case):
     assert {comp[r] for r in roots} == set(comp[1:])
     for x in balls:
         assert eq.class_size(x) == comp.count(comp[x])
-        found = eq.conflict_roots_of(x)
-        assert found <= set(roots)
+        found = eq.rivals(int(eq.label[x])).tolist()
+        assert len(found) == len(set(found)) and set(found) <= set(roots)
         assert {comp[r] for r in found} == {
             c for edge in conflicts if comp[x] in edge for c in edge if c != comp[x]
         }
         for y in balls:
-            assert eq.same_class(x, y) == (comp[x] == comp[y])
+            assert (eq.label[x] == eq.label[y]) == (comp[x] == comp[y])
             assert eq.provably_unequal(x, y) == (frozenset((comp[x], comp[y])) in conflicts)
 
 

@@ -93,6 +93,14 @@ def test_analyze_constant(capsys):
     assert float(values["beta_high"]) == pytest.approx(0.4757995, abs=1e-6)
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "1e-300"])
+def test_analyze_bad_tolerance_is_usage_error(capsys, tolerance):
+    # 1e-300 is finite but unreachable: the quadrature gives up, and that
+    # is not a contract violation.
+    code, out, err = run_cli(capsys, "analyze", "--constant", "--tolerance", tolerance)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_analyze_martingale_csv(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--martingale", "--n", "300", "--trials", "40",

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from majoritylab import (
+    STRATEGIES,
     AdversaryWorld,
     ComponentState,
     ConvergenceError,
@@ -135,6 +137,49 @@ def test_simulate_balance_shapes_and_martingale():
         assert later <= earlier + 1e-9
 
 
+def replay_through_merge_step(n, strategy, rng):
+    """simulate_balance(n, strategy, trials=1, rng) one scalar merge_step at a time.
+
+    The colours and the uniform picks come from the same generator, in the
+    same order; the size-ordered picks from the same argpartition.
+    """
+    gen = rng.numpy_generator()
+    colors = gen.integers(0, 2, size=(1, n), dtype=np.int8)[0]
+    world = AdversaryWorld([ComponentState(1, 0, int(c)) for c in colors])
+    for live in range(n, 1, -1):
+        if strategy == "uniform":
+            i = int(gen.integers(0, live, size=1)[0])
+            j = int(gen.integers(0, live - 1, size=1)[0])
+            j += j >= i
+        elif live == 2:
+            i, j = 0, 1
+        else:
+            sizes = np.array([c.size for c in world.components], dtype=np.int64)
+            order = sizes if strategy == "smallest-first" else -sizes
+            i, j = np.argpartition(order, 1)[:2].tolist()
+        merge_step(world, i, j)
+        # merge_step leaves the merged component in the lower slot and moves
+        # the last one into the higher; simulate_balance leaves it in slot i
+        # and moves the last one into slot j.
+        if j < i < live - 1:
+            world.components[i], world.components[j] = world.components[j], world.components[i]
+    return world
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_simulate_balance_replays_through_merge_step(strategy):
+    # One merge rule: the vectorised engine and the scalar step agree on
+    # every trajectory they share.
+    for n in range(1, 40):
+        for seed in range(5):
+            stats = simulate_balance(n, strategy, trials=1, rng=RandomStream(seed, "replay", n))
+            world = replay_through_merge_step(n, strategy, RandomStream(seed, "replay", n))
+            (last,) = world.components
+            assert stats.terminal_balance_mean == last.balance
+            assert stats.inferred_edges_mean == world.inferred_edges
+            assert stats.inferred_majority_edges_mean == world.inferred_majority_edges()
+
+
 def test_simulate_balance_strategies_agree_on_expectation():
     for strategy in ("smallest-first", "largest-first"):
         stats = simulate_balance(200, strategy, trials=80, rng=RandomStream(4, strategy))
@@ -178,8 +223,14 @@ def test_integrate_reports_nonconvergence():
 
 def test_lower_bound_constant_value():
     assert lower_bound_constant(1e-8) == pytest.approx(1.0191289143, abs=1e-9)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tolerance):
     with pytest.raises(ValueError):
-        lower_bound_constant(0.0)
+        lower_bound_constant(tolerance)
+    with pytest.raises(ValueError):
+        integrate(math.sin, 0.0, 1.0, tolerance)
 
 
 def test_beta_interval_values():

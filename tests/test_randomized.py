@@ -24,7 +24,6 @@ from majoritylab import (
     RandomStream,
     RunStats,
     boyer_moore,
-    estimate_frequencies,
     generate,
     heavy,
     majority,
@@ -49,16 +48,6 @@ def test_params_validation():
         Params(cutoff=1)
     with pytest.raises(ValueError):
         Params(cap_factor=0)
-
-
-def test_estimate_frequencies_ordering_and_cost():
-    inst = Instance((1, 1, 1, 2, 2, 3))
-    oracle = CountingOracle(inst)
-    est = estimate_frequencies(oracle, [1, 2, 3, 4, 5, 6])
-    assert est.frequencies == (0.5, 1 / 3, 1 / 6)
-    assert inst.color_of(est.representatives[0]) == 1
-    assert est.sample_size == 6
-    assert est.comparisons == oracle.comparisons
 
 
 # -- sampled dispatch ------------------------------------------------------
@@ -559,6 +548,20 @@ def test_subset_of_balls():
     )
     assert answer.is_majority and answer.multiplicity == 4
     assert inst.color_of(answer.witness) == 2
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [majority, lambda o, balls: heavy(o, 3, balls), boyer_moore],
+    ids=["majority", "heavy", "boyer_moore"],
+)
+@pytest.mark.parametrize("balls", [[1, 1, 1, 3], [3, 3, 4, 5]])
+def test_duplicate_balls_are_rejected_before_any_comparison(solver, balls):
+    # Counted twice, ball 1 would make colour 1 look like 3 of 4 balls.
+    oracle = CountingOracle(Instance((1, 1, 2, 2, 3)))
+    with pytest.raises(ValueError, match="distinct"):
+        solver(oracle, balls=balls)
+    assert oracle.comparisons == 0
 
 
 @pytest.mark.parametrize(

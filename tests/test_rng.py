@@ -61,21 +61,6 @@ def test_shuffle_is_permutation():
     assert shuffled != items  # astronomically unlikely to be identity
 
 
-def test_sample_indices_distinct_in_range():
-    rng = RandomStream(6)
-    for m, k in ((10, 10), (100, 7), (5, 1), (3, 3)):
-        sample = rng.sample_indices(m, k)
-        assert len(sample) == k
-        assert len(set(sample)) == k
-        assert all(1 <= s <= m for s in sample)
-
-
-def test_sample_indices_rejects_oversample():
-    rng = RandomStream(6)
-    with pytest.raises(ValueError):
-        rng.sample_indices(3, 4)
-
-
 def test_numpy_generator_is_reproducible():
     a = RandomStream(9, "bulk").numpy_generator()
     b = RandomStream(9, "bulk").numpy_generator()
