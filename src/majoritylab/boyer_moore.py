@@ -36,9 +36,7 @@ def boyer_moore(
     if balls is None:
         balls = list(range(1, oracle.instance.n + 1))
     else:
-        balls = list(balls)
-        if len(set(balls)) < len(balls):
-            raise ValueError("balls must be distinct")
+        balls = oracle.distinct_balls(balls).tolist()
     m = len(balls)
     start = oracle.comparisons
 

@@ -3,22 +3,24 @@
 The auditor is deliberately dumber than the algorithms it checks.  It
 freezes a transcript into two arrays.  ``label`` gives every ball the
 smallest ball of its equality class, found by an array union-find over the
-"equal" records.  ``keys`` holds each "unequal" record as one sorted,
-deduplicated int64 key ``min * (n + 1) + max`` over the labels of the two
-classes it separates.  Two balls are *provably unequal* only when their
-labels form a recorded key.  No multi-edge inference is performed here:
-reasoning like "x differs from two balls that differ from each other,
-so..." belongs to adversary-style arguments over binary alphabets, not to
-an auditor that must stay sound for arbitrary alphabets.
+"equal" records.  ``keys`` holds one int64 key ``min * (n + 1) + max`` per
+"unequal" record, in record order, over the labels of the two classes it
+separates.  Two balls are *provably unequal* only when their labels form a
+recorded key.  No multi-edge inference is performed here: reasoning like
+"x differs from two balls that differ from each other, so..." belongs to
+adversary-style arguments over binary alphabets, not to an auditor that
+must stay sound for arbitrary alphabets.
 
 A majority claim is accepted when the witness's class has exactly the claimed
 size, the size clears n/2, and every other class conflicts with the witness's
-class.  A no-majority claim is accepted from a Certificate: disjoint provably
+class; the rival classes are marked in a boolean table, so the keys need no
+order.  A no-majority claim is accepted from a Certificate: disjoint provably
 unequal units (pairs plus, for odd n, one mutually-unequal triangle) and,
 when the units do not cover everything, counting conditions around an
-optional candidate class.  Both checks run as array operations over every
-ball and every unit at once, with one code path for every size.  The
-auditor shares no code with the solvers.
+optional candidate class.  Its unit checks look every pair up in one sorted
+copy of the keys that the check makes and drops.  Both checks run as array
+operations over every ball and every unit at once, with one code path for
+every size.  The auditor shares no code with the solvers.
 """
 
 from __future__ import annotations
@@ -59,15 +61,15 @@ class CheckResult:
 
 @dataclass(frozen=True, eq=False)
 class EqStructure:
-    """A transcript frozen into class labels and sorted conflict keys.
+    """A transcript frozen into class labels and conflict keys.
 
     ``label[x]`` (an int64 array, index 0 unused) names the equality class
     of ball x by its smallest ball, so ``label[x] <= x`` and x labels a
     class exactly when ``label[x] == x``.  ``size[l]`` is the size of the
-    class labelled l.  ``keys`` holds each unequal record once, as
-    ``min * (n + 1) + max`` of the labels of the two classes it separates,
-    sorted ascending and closed by ``(n + 1) ** 2``.  That last key is above
-    every label pair and names none, so a lookup never runs off the end.
+    class labelled l, and 0 where l labels no class.  ``keys`` holds one
+    int64 key ``min * (n + 1) + max`` per unequal record, over the labels
+    of the two classes it separates, in record order: a conflict recorded
+    twice is keyed twice.
     """
 
     n: int
@@ -76,23 +78,29 @@ class EqStructure:
     keys: np.ndarray
 
     def provably_unequal(self, x: int, y: int) -> bool:
+        """Whether a recorded conflict separates the classes of x and y.
+
+        One scan of the keys: checks that ask many times sort them once."""
         lx, ly = int(self.label[x]), int(self.label[y])
         key = min(lx, ly) * (self.n + 1) + max(lx, ly)
-        return int(self.keys[self.keys.searchsorted(key)]) == key
+        return bool(np.count_nonzero(self.keys == key))
 
     def class_size(self, x: int) -> int:
         return int(self.size[self.label[x]])
 
     def class_roots(self) -> list[int]:
-        return np.flatnonzero(self.label == np.arange(self.n + 1))[1:].tolist()
+        return np.flatnonzero(self.size)[1:].tolist()
 
     def rivals(self, lx: int) -> np.ndarray:
-        """Labels of the classes a recorded conflict separates from class lx.
-
-        Keys are unique and each names its two labels in order, so no
-        label appears twice.  The closing key names no ball's label."""
-        lo, hi = np.divmod(self.keys, self.n + 1)
-        return np.concatenate((hi[lo == lx], lo[hi == lx]))
+        """Labels of the classes a recorded conflict separates from class lx,
+        ascending and each once."""
+        lo = self.keys // (self.n + 1)
+        hi = lo * (self.n + 1)
+        np.subtract(self.keys, hi, out=hi)
+        rival = np.zeros(self.n + 1, dtype=bool)
+        rival[hi[lo == lx]] = True
+        rival[lo[hi == lx]] = True
+        return rival.nonzero()[0]
 
 
 def _columns(transcript: Iterable[ComparisonRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,27 +135,32 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
     transcript is contradictory and we raise.
     """
     left, right, equal = _columns(transcript)
-    outside = (left < 1) | (left > n) | (right < 1) | (right > n)
-    if np.count_nonzero(outside):
+    if len(left) and (min(left.min(), right.min()) < 1 or max(left.max(), right.max()) > n):
+        outside = (left < 1) | (left > n) | (right < 1) | (right > n)
         i = outside.nonzero()[0][0]
         rec = ComparisonRecord(int(left[i]), int(right[i]), bool(equal[i]))
         raise ValueError(f"transcript references ball out of range: {rec}")
 
     # A ball only ever points at a smaller one, so hooking never makes a
-    # cycle, and each round removes at least one class.  From the second
-    # round on, a and b hold the labels the records had after the round
-    # before; once pointers are jumped, label[a] is the label of every ball
-    # that a labelled.
+    # cycle, and each round removes at least one class.  A ball whose
+    # parent is a root never moves again, so after one jump over every
+    # ball only the balls that moved are jumped.  From the second round
+    # on, a and b hold the labels the records had after the round before;
+    # once pointers are jumped, label[a] is the label of every ball that a
+    # labelled.
     label = np.arange(n + 1)
     a, b = _rows(equal, left, right)
     while len(a):
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = label[label]
-            if not np.count_nonzero(jumped != label):
-                break
-            label = jumped
-        a, b = label[a], label[b]
+        jumped = label.take(label)
+        moved = (jumped != label).nonzero()[0]
+        label = jumped
+        while len(moved):
+            parent = label.take(moved)
+            grand = label.take(parent)
+            moved, grand = _rows(grand != parent, moved, grand)
+            label[moved] = grand
+        a, b = label.take(a), label.take(b)
         a, b = _rows(a != b, a, b)
 
     lo, hi = _rows(~equal, left, right)
@@ -156,11 +169,7 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
     if np.count_nonzero(clash):
         i = clash.nonzero()[0][0]
         raise InconsistentTranscript(f"balls {lo[i]} and {hi[i]} are both equal and unequal")
-    keys = np.concatenate((np.minimum(a, b) * (n + 1) + np.maximum(a, b), [(n + 1) ** 2]))
-    keys.sort()
-    repeat = np.zeros(len(keys), dtype=bool)
-    repeat[1:] = keys[1:] == keys[:-1]
-    return EqStructure(n, label, np.bincount(label, minlength=n + 1), keys[~repeat])
+    return EqStructure(n, label, np.bincount(label, minlength=n + 1), _pair_keys(a, b, n))
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +193,7 @@ def check_majority_claim(eq: EqStructure, answer: Answer, n: int) -> CheckResult
     # Every rival is the label of another class, so the witness conflicts
     # with every other class exactly when the counts agree.
     lv = int(eq.label[v])
-    roots = eq.label == np.arange(n + 1)
+    roots = eq.size > 0
     rivals = eq.rivals(lv)
     if len(rivals) == np.count_nonzero(roots) - 2:  # less ball 0 and the witness's class
         return CheckResult(True)
@@ -200,9 +209,9 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
     Each unit (a pair, or the triangle) must lie in range, share no ball
     with another unit and be provably unequal in every pair of its balls,
     so it holds at most one ball of any color.  The pairs are checked as
-    one array, key column against key column, and the triangle by one
-    lookup per edge; a rejection names the failure a ball-by-ball walk of
-    the certificate meets first.
+    one array against a sorted copy of the conflict keys, and the triangle
+    by one lookup per edge; a rejection names the failure a ball-by-ball
+    walk of the certificate meets first.
     """
     half = n // 2
     units = cert.units()
@@ -215,9 +224,18 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
     labels = eq.label[safe]
     base = len(flat)  # where the triangle's balls start
     first, second = labels[0:base:2], labels[1:base:2]
-    key = np.minimum(first, second) * (n + 1) + np.maximum(first, second)
-    # Ascending needles let each binary search start from the one before.
-    ascending = np.sort(key)
+    # The conflict keys sorted into one local array, closed by (n + 1) ** 2:
+    # that key is above every label pair and names none, so a lookup never
+    # runs off the end.  The pairs' keys are sorted in place: ascending
+    # needles let each binary search start from the one before.
+    known = np.concatenate((eq.keys, [(n + 1) ** 2]))
+    known.sort()
+    key = _pair_keys(first, second, n)
+    key.sort()
+    found = known.searchsorted(key)
+    # In place: "clip" skips the copy of the output that "raise" makes, and
+    # no index passes the closing key.
+    known.take(found, out=found, mode="clip")
     # back[i]: how far before triangle ball i its first unproven partner sits
     back = [
         next((i - j for j in range(i) if not eq.provably_unequal(tri[j], tri[i])), 0)
@@ -226,10 +244,10 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
     if (
         np.count_nonzero(inside) < len(safe)
         or np.count_nonzero(cover) <= len(safe)  # some ball covered twice
-        or np.count_nonzero(eq.keys[eq.keys.searchsorted(ascending)] != ascending)
+        or np.count_nonzero(found != key)
         or any(back)
     ):
-        return CheckResult(False, _first_unit_failure(eq, cert, safe, inside, key, back))
+        return CheckResult(False, _first_unit_failure(known, cert, safe, inside, labels, back, n))
     free = cover == 0
 
     if cert.candidate is None:
@@ -273,7 +291,15 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
     return CheckResult(True)
 
 
-def _first_unit_failure(eq, cert, safe, inside, key, back) -> str:
+def _pair_keys(first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
+    """The conflict key of each label pair (first[i], second[i])."""
+    key = np.minimum(first, second)
+    key *= n + 1
+    key += np.maximum(first, second)
+    return key
+
+
+def _first_unit_failure(known, cert, safe, inside, labels, back, n) -> str:
     """The first failed unit check in certificate order, ball by ball.
 
     At each ball a walk checks its range, then that no earlier ball is the
@@ -285,8 +311,9 @@ def _first_unit_failure(eq, cert, safe, inside, key, back) -> str:
     repeated = inside.copy()
     repeated[first] = False
     base = 2 * len(cert.pairs)
+    key = _pair_keys(labels[0:base:2], labels[1:base:2], n)
     unproven = np.zeros(len(safe), dtype=np.int64)  # distance back to the first unproven partner
-    unproven[1:base:2] = eq.keys[eq.keys.searchsorted(key)] != key
+    unproven[1:base:2] = known[known.searchsorted(key)] != key
     unproven[base:] = back
     j = int((~inside | repeated | (unproven > 0)).nonzero()[0][0])
     if j < base:

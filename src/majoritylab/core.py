@@ -298,6 +298,25 @@ class CountingOracle:
             self._transcript._add_batch(np.full(asked, v, dtype=np.int64), right, equal)
         return events
 
+    def distinct_balls(self, balls: Iterable[int]) -> np.ndarray:
+        """The given balls as an int64 array, in their order.
+
+        Raises ValueError, before anything is billed, when a ball lies
+        outside 1..n or appears twice.  One sort finds both: its ends give
+        the range, and a repeat sits next to its twin.
+        """
+        try:
+            given = np.array(balls if isinstance(balls, np.ndarray) else list(balls), np.int64)
+        except OverflowError:
+            raise ValueError(f"balls must lie in 1..{self._n}: one exceeds int64") from None
+        ordered = np.sort(given)
+        if len(ordered) and not (1 <= ordered[0] and ordered[-1] <= self._n):
+            bad = ordered[0] if ordered[0] < 1 else ordered[-1]
+            raise ValueError(f"balls must lie in 1..{self._n}, got {bad}")
+        if np.count_nonzero(ordered[1:] == ordered[:-1]):
+            raise ValueError("balls must be distinct")
+        return given
+
     @property
     def recording(self) -> bool:
         return self._transcript is not None

@@ -471,7 +471,7 @@ def _heavy(
         # Unlucky pair scan; rerun the deterministic baseline on the whole
         # level.  Rare by construction and still within the comparison cap.
         start = oracle.comparisons
-        answer, cert = boyer_moore(oracle, balls.tolist())
+        answer, cert = boyer_moore(oracle, balls)
         lv.fallback_comparisons = oracle.comparisons - start
         return answer, cert
 
@@ -489,7 +489,7 @@ def _base(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
     lv = LevelStats("base", len(balls))
     run.levels.append(lv)
     start = run.oracle.comparisons
-    answer, cert = boyer_moore(run.oracle, balls.tolist())
+    answer, cert = boyer_moore(run.oracle, balls)
     lv.scan_comparisons = run.oracle.comparisons - start
     return answer, cert
 
@@ -510,16 +510,14 @@ def _drive(
     """Run ``top`` on the balls and enforce the contract on the result.
 
     Balls travel between levels as int64 arrays.  Given balls must be
-    distinct (ValueError, before any comparison).  The comparison cap
-    (params.cap_factor per ball) and the depth bound are checked with
-    ContractViolation, so they hold under ``python -O`` too.
+    distinct and in range (ValueError, before any comparison).  The
+    comparison cap (params.cap_factor per ball) and the depth bound are
+    checked with ContractViolation, so they hold under ``python -O`` too.
     """
     if balls is None:
         balls = np.arange(1, oracle.instance.n + 1, dtype=np.int64)
     else:
-        balls = np.fromiter(balls, dtype=np.int64)
-        if len(np.unique(balls)) < len(balls):
-            raise ValueError("balls must be distinct")
+        balls = oracle.distinct_balls(balls)
     if not len(balls):
         return Answer.no_majority(), Certificate(), RunStats(0, 0, (), ())
     run = _Run(

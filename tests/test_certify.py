@@ -26,6 +26,7 @@ from majoritylab import (
     build_eq_structure,
     check_majority_claim,
     check_no_majority_claim,
+    generate,
     majority,
     verify_run,
 )
@@ -113,6 +114,64 @@ def test_eq_structure_matches_naive_components(case):
             assert eq.provably_unequal(x, y) == (frozenset((comp[x], comp[y])) in conflicts)
 
 
+def test_eq_structure_keys_repeat_and_may_be_empty():
+    # No unequal record: no key, no rival, nothing provably unequal.
+    transcript = [rec(1, 2, True), rec(3, 4, True)]
+    eq = build_eq_structure(4, transcript)
+    assert eq.keys.dtype == np.int64 and len(eq.keys) == 0
+    assert eq.class_roots() == [1, 3] and eq.rivals(1).tolist() == []
+    assert not eq.provably_unequal(1, 3)
+    cert = Certificate(pairs=((1, 3), (2, 4)))
+    expected = reference_auditor.verify_run(4, transcript, Answer.no_majority(), cert)
+    assert verify_run(4, transcript, Answer.no_majority(), cert) == expected
+    assert expected.reason == "(1, 3) of unit (1, 3) is not provably unequal"
+
+    # Classes {1, 2} and {3, 4} conflict three times; each record keeps its
+    # key, in record order, and the rivals come out ascending and once each.
+    transcript += [rec(5, 1, False), rec(4, 2, False), rec(3, 1, False), rec(2, 4, False)]
+    eq = build_eq_structure(5, transcript)
+    loop = reference_auditor.build_eq_structure(5, transcript)
+    assert eq.keys.tolist() == [1 * 6 + 5, 1 * 6 + 3, 1 * 6 + 3, 1 * 6 + 3]
+    assert eq.rivals(1).tolist() == [3, 5]
+    assert eq.rivals(3).tolist() == [1] and eq.rivals(5).tolist() == [1]
+    for x in range(1, 6):
+        for y in range(1, 6):
+            assert eq.provably_unequal(x, y) == loop.provably_unequal(x, y)
+    cert = Certificate(pairs=((1, 3), (2, 4)), candidate=5)
+    expected = reference_auditor.verify_run(5, transcript, Answer.no_majority(), cert)
+    assert verify_run(5, transcript, Answer.no_majority(), cert) == expected
+
+
+@pytest.mark.parametrize(
+    "spec", ["binary:p=0.5", "profile:0.48,rest=100", "uniform:k=3", "uniform:k=n"]
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_array_auditor_matches_loop_auditor_at_scale(spec, seed):
+    # Solver transcripts at 2^14 take several hook and pointer-jump rounds,
+    # which the small hypothesis transcripts do not reach.
+    n = 1 << 14
+    inst = generate(spec, n, RandomStream(seed, "audit-at-scale"))
+    oracle = CountingOracle(inst, record_transcript=True)
+    answer, cert, _ = majority(oracle, rng=RandomStream(seed, "audit-at-scale/solve"))
+    transcript = oracle.transcript
+    eq = build_eq_structure(n, transcript)
+    loop = reference_auditor.build_eq_structure(n, transcript)
+    assert eq.label.tolist() == loop.label
+    assert eq.size[eq.label[1:]].tolist() == [loop.size[lab] for lab in loop.label[1:]]
+    lo, hi = np.divmod(eq.keys, n + 1)
+    assert set(zip(lo.tolist(), hi.tolist())) == loop.conflicts
+
+    claims = [(answer, cert)]
+    if answer.is_majority:  # the multiplicity shifted by one
+        claims.append((Answer.majority(answer.witness, answer.multiplicity + 1), None))
+    else:  # one certificate pair dropped
+        claims.append((answer, Certificate(cert.pairs[1:], cert.triangle, cert.candidate)))
+    for claim, claim_cert in claims:
+        expected = reference_auditor.verify_run(n, transcript, claim, claim_cert)
+        assert verify_run(n, transcript, claim, claim_cert) == expected
+    assert verify_run(n, transcript, answer, cert).accepted
+
+
 def test_auditor_imports_nothing_from_the_solvers():
     # The auditor must stay independent of the code it audits.
     import majoritylab.certify as certify
@@ -174,6 +233,12 @@ def test_majority_claim_requires_conflicts_with_every_class():
     # Class {1,2,3} clears n//2 but ball 4's class was never distinguished.
     eq = build_eq_structure(5, [rec(1, 2, True), rec(1, 3, True), rec(1, 5, False)])
     assert not check_majority_claim(eq, Answer.majority(1, 3), 5).accepted
+    # Balls 2 and 6 were never distinguished from the witness's class, whose
+    # one rival is keyed twice: the reason names the smaller of the two.
+    census = [rec(1, b, True) for b in (3, 4, 5, 7, 8)]
+    eq = build_eq_structure(9, census + [rec(9, 1, False), rec(8, 9, False)])
+    res = check_majority_claim(eq, Answer.majority(1, 6), 9)
+    assert res.reason == "class of ball 2 is not proven unequal to witness"
 
 
 def test_no_majority_matching_certificate():

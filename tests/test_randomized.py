@@ -565,6 +565,21 @@ def test_duplicate_balls_are_rejected_before_any_comparison(solver, balls):
 
 
 @pytest.mark.parametrize(
+    "solver",
+    [majority, lambda o, balls: heavy(o, 3, balls), boyer_moore],
+    ids=["majority", "heavy", "boyer_moore"],
+)
+@pytest.mark.parametrize(
+    "balls", [[1, 2, -1], [1, 2, 6], [1, 2**70]], ids=["below", "above", "beyond-int64"]
+)
+def test_out_of_range_balls_are_rejected_before_any_comparison(solver, balls):
+    oracle = CountingOracle(Instance((1, 1, 2, 2, 3)))
+    with pytest.raises(ValueError, match=r"1\.\.5"):
+        solver(oracle, balls=balls)
+    assert oracle.comparisons == 0
+
+
+@pytest.mark.parametrize(
     "spec", ["binary:p=0.5", "binary:p=0.9", "profile:0.48,rest=100", "uniform:k=n", "uniform:k=3"]
 )
 def test_recording_does_not_change_the_run(spec):
