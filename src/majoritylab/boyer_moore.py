@@ -1,11 +1,13 @@
 """Classic two-pass majority vote over a comparison oracle.
 
-Pass one maintains a candidate and a counter; adopting a fresh candidate at
-counter zero costs nothing, every other element costs one comparison.  Pass
-two recounts the surviving candidate against all other balls.  Total cost is
-at most 2n - 2 comparisons, checked on every run.
+Pass one, ``CountingOracle.vote``, maintains a candidate and the stack of
+its unmatched class balls; adopting a fresh candidate on an empty stack
+costs nothing, every other element costs one comparison.  Pass two
+recounts the surviving candidate against all other balls as one
+``cmp_many`` batch.  Total cost is at most 2n - 2 comparisons, checked on
+every run.
 
-Pass one also yields no-majority evidence for free: every counter decrement
+Pass one also yields no-majority evidence for free: every cancellation
 matches one ball of the current candidate's class against the ball that
 cancelled it, a provably-unequal pair.  Those pairs plus the pass-two census
 form the certificate for a no-majority verdict.
@@ -34,37 +36,22 @@ def boyer_moore(
     distinct (ValueError, before any comparison).
     """
     if balls is None:
-        balls = list(range(1, oracle.instance.n + 1))
+        balls = np.arange(1, oracle.instance.n + 1, dtype=np.int64)
     else:
-        balls = oracle.distinct_balls(balls).tolist()
-    m = len(balls)
-    start = oracle.comparisons
+        balls = oracle.distinct_balls(balls)
+    return _two_pass(oracle, balls)
 
+
+def _two_pass(oracle: CountingOracle, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
+    """``boyer_moore`` on distinct, in-range balls given as an int64 array."""
+    m = len(balls)
     if m == 0:
         return Answer.no_majority(), Certificate()
 
-    candidate = balls[0]
-    counter = 1
-    stack = [balls[0]]  # unmatched balls of the current candidate's class
-    # cancelled pairs as two flat columns: a class ball and the ball that cancelled it
-    lefts: list[int] = []
-    rights: list[int] = []
-    for b in balls[1:]:
-        if counter == 0:
-            candidate = b
-            counter = 1
-            stack.append(b)
-        elif oracle.cmp(candidate, b):
-            counter += 1
-            stack.append(b)
-        else:
-            counter -= 1
-            lefts.append(stack.pop())
-            rights.append(b)
-
+    start = oracle.comparisons
+    candidate, cancelled = oracle.vote(balls)
     # Pass two never adapts, so it is one batch in the loop's order.
-    others = np.array(balls, dtype=np.int64)
-    count = 1 + int(np.count_nonzero(oracle.cmp_many(candidate, others[others != candidate])))
+    count = 1 + int(np.count_nonzero(oracle.cmp_many(candidate, balls[balls != candidate])))
 
     used = oracle.comparisons - start
     if used > max(0, 2 * m - 2):
@@ -72,5 +59,5 @@ def boyer_moore(
 
     if count > m // 2:
         return Answer.majority(candidate, count), None
-    pairs = np.array((lefts, rights), dtype=np.int64).T
+    pairs = np.array(cancelled, dtype=np.int64).reshape(-1, 2)
     return Answer.no_majority(), Certificate(pairs=pairs, candidate=candidate)

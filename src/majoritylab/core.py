@@ -4,8 +4,9 @@ An instance is n colored balls, identified by the indices 1..n, whose
 colors are one read-only int64 array that generation, the oracle, brute
 force and the instance files all read.  Algorithms never see colors; they
 learn about them only through CountingOracle, which answers "same color?"
-one pair at a time (``cmp``), for a whole batch of pairs (``cmp_many``), or
-as an early-stopping scan over pairs (``scan_until``), and bills one
+one pair at a time (``cmp``), for a whole batch of pairs (``cmp_many``), as
+an early-stopping scan over pairs (``scan_until``), or as the comparisons of
+Boyer-Moore's first pass over a list of balls (``vote``), and bills one
 comparison for every answer it hands out.
 The oracle can optionally record a transcript of (x, y, equal) triples,
 which is what the certificate auditing in `certify` consumes.
@@ -13,7 +14,9 @@ which is what the certificate auditing in `certify` consumes.
 The billing rule is that the solver never learns a comparison it is not
 billed for.  ``scan_until`` looks colors up in doubling windows and may
 look past its stopping point, but nothing past the stop is billed, recorded
-or returned.
+or returned.  ``vote`` looks up the colors of all its balls at once and
+bills every comparison its loop makes, one per ball that does not become a
+fresh candidate.
 """
 
 from __future__ import annotations
@@ -171,6 +174,10 @@ class CountingOracle:
     is deliberately no memoization.  cmp(x, x) returns True and costs 1.
     Every answer handed out is billed and, when recording, recorded in the
     order the equivalent cmp calls would make them.
+
+    The primitives are ``cmp`` (one pair), ``cmp_many`` (a batch of pairs),
+    ``scan_until`` (pairs in order up to the k-th event) and ``vote``
+    (Boyer-Moore's first pass).
     """
 
     __slots__ = ("instance", "_ids", "_colors", "_n", "comparisons", "_transcript")
@@ -297,6 +304,46 @@ class CountingOracle:
             equal = np.column_stack((~miss, ~events)).ravel().take(slots)
             self._transcript._add_batch(np.full(asked, v, dtype=np.int64), right, equal)
         return events
+
+    def vote(self, balls: np.ndarray) -> tuple[int, list[int]]:
+        """Boyer-Moore's first pass over the balls, in their order.
+
+        A ball met while no ball of the candidate's class is unmatched
+        becomes the candidate at no cost.  Every other ball is compared with
+        the candidate: an equal one joins the unmatched class balls, an
+        unequal one cancels the latest of them.  Returns the last candidate
+        and the cancelled pairs as one flat list, (class ball, ball that
+        cancelled it) after each other.  Bills and records exactly the
+        comparisons of that loop, in its order.  A bad index raises
+        IndexError, and no balls raise ValueError, before anything is billed
+        or recorded.
+        """
+        balls = np.asarray(balls, dtype=np.int64)
+        if not len(balls):
+            raise ValueError("vote: needs at least one ball")
+        idx = self._index("vote", balls)
+        # In place: "clip" skips the copy of the output that "raise" makes,
+        # and every index is already in range.
+        colors = self._ids.take(idx, out=idx, mode="clip").tolist()
+        pending = None if self._transcript is None else self._transcript._pending
+        stack: list[int] = []  # unmatched balls of the candidate's class
+        cancelled: list[int] = []
+        candidate = color = adopted = 0
+        for b, c in zip(balls.tolist(), colors):
+            if not stack:
+                candidate, color = b, c
+                stack.append(b)
+                adopted += 1
+            elif c == color:
+                stack.append(b)
+                if pending is not None:
+                    pending.extend((candidate, b, True))
+            else:
+                cancelled.extend((stack.pop(), b))
+                if pending is not None:
+                    pending.extend((candidate, b, False))
+        self.comparisons += len(colors) - adopted
+        return candidate, cancelled
 
     def distinct_balls(self, balls: Iterable[int]) -> np.ndarray:
         """The given balls as an int64 array, in their order.

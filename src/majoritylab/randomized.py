@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .answers import Answer, Certificate, ContractViolation
-from .boyer_moore import boyer_moore
+from .boyer_moore import _two_pass
 from .core import CountingOracle
 from .lowerbound import beta_interval
 from .rng import RandomStream
@@ -224,7 +224,9 @@ def _pair_up(
     are freed on return, before the level recurses.
     """
     k = len(sampled)
-    equal = np.concatenate((sampled, oracle.cmp_many(firsts[k:], seconds[k:])))
+    equal = sampled
+    if k < len(firsts):
+        equal = np.concatenate((sampled, oracle.cmp_many(firsts[k:], seconds[k:])))
     # Split by index: on an unpredictable split, take beats boolean masks.
     same, split = equal.nonzero()[0], (~equal).nonzero()[0]
     return seconds.take(same), firsts.take(same), (firsts.take(split), seconds.take(split))
@@ -471,7 +473,7 @@ def _heavy(
         # Unlucky pair scan; rerun the deterministic baseline on the whole
         # level.  Rare by construction and still within the comparison cap.
         start = oracle.comparisons
-        answer, cert = boyer_moore(oracle, balls)
+        answer, cert = _two_pass(oracle, balls)
         lv.fallback_comparisons = oracle.comparisons - start
         return answer, cert
 
@@ -489,7 +491,7 @@ def _base(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
     lv = LevelStats("base", len(balls))
     run.levels.append(lv)
     start = run.oracle.comparisons
-    answer, cert = boyer_moore(run.oracle, balls)
+    answer, cert = _two_pass(run.oracle, balls)
     lv.scan_comparisons = run.oracle.comparisons - start
     return answer, cert
 

@@ -122,3 +122,64 @@ def test_recorded_transcript_matches_scalar_two_pass_reference(colors, picks):
     assert boyer_moore(oracle, balls) == scalar_boyer_moore(scalar, balls)
     assert oracle.comparisons == scalar.comparisons
     assert list(oracle.transcript) == list(scalar.transcript)
+
+
+@pytest.mark.parametrize(
+    "spec", ["binary:p=0.5", "profile:0.48,rest=100", "uniform:k=3", "uniform:k=n"]
+)
+@pytest.mark.parametrize("subset", [False, True])
+def test_vote_matches_scalar_two_pass_reference_at_scale(spec, subset):
+    n = 2**14
+    inst = generate(spec, n, RandomStream(14, "bm-scale", spec))
+    balls = list(range(1, n + 1))
+    if subset:
+        balls = (np.random.default_rng(14).permutation(n)[: n // 2 + 1] + 1).tolist()
+    oracle = CountingOracle(inst, record_transcript=True)
+    scalar = CountingOracle(inst, record_transcript=True)
+    got = boyer_moore(oracle, balls if subset else None)
+    assert got == scalar_boyer_moore(scalar, balls)
+    assert oracle.comparisons == scalar.comparisons
+    for column, expected in zip(oracle.transcript.columns(), scalar.transcript.columns()):
+        np.testing.assert_array_equal(column, expected)
+
+
+def test_vote_keeps_call_order_after_pending_scalar_records():
+    inst = Instance((1, 2, 2, 1, 2, 2))
+    oracle = CountingOracle(inst, record_transcript=True)
+    oracle.cmp(1, 4)
+    oracle.cmp(2, 1)
+    candidate, cancelled = oracle.vote(np.array([1, 2, 3, 5, 6]))
+    oracle.cmp(6, 6)
+    assert (candidate, cancelled) == (3, [1, 2])
+    assert list(oracle.transcript) == [
+        (1, 4, True),
+        (2, 1, False),
+        (1, 2, False),
+        (3, 5, True),
+        (3, 6, True),
+        (6, 6, True),
+    ]
+    assert oracle.comparisons == 6
+
+
+@pytest.mark.parametrize(
+    "balls, error", [([1, 2, 7], IndexError), ([0, 1, 2], IndexError), ([], ValueError)]
+)
+def test_vote_rejects_bad_balls_before_billing_or_recording(balls, error):
+    oracle = CountingOracle(Instance((1, 1, 2, 2, 1, 1)), record_transcript=True)
+    with pytest.raises(error):
+        oracle.vote(np.array(balls, dtype=np.int64))
+    assert oracle.comparisons == 0
+    assert len(oracle.transcript) == 0
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(colors=st.lists(st.integers(1, 3), min_size=1, max_size=60))
+def test_vote_bills_the_same_recorded_or_not(colors):
+    inst = Instance(colors)
+    balls = np.arange(1, inst.n + 1)
+    plain, recorded = CountingOracle(inst), CountingOracle(inst, record_transcript=True)
+    assert plain.vote(balls) == recorded.vote(balls)
+    assert plain.comparisons == recorded.comparisons == len(recorded.transcript)
+    assert boyer_moore(plain) == boyer_moore(recorded)
+    assert plain.comparisons == recorded.comparisons == len(recorded.transcript)
