@@ -1,16 +1,17 @@
 """Classic two-pass majority vote over a comparison oracle.
 
-Pass one, ``CountingOracle.vote``, maintains a candidate and the stack of
-its unmatched class balls; adopting a fresh candidate on an empty stack
-costs nothing, every other element costs one comparison.  Pass two
-recounts the surviving candidate against all other balls as one
-``cmp_many`` batch.  Total cost is at most 2n - 2 comparisons, checked on
-every run.
+Pass one, ``CountingOracle.vote``, keeps a candidate and its lead: adopting
+a fresh candidate at a lead of zero costs nothing, every other element
+costs one comparison, and the oracle reports which balls joined the
+candidate.  Pass two recounts the surviving candidate against all other
+balls as one ``cmp_many`` batch.  Total cost is at most 2n - 2
+comparisons, checked on every run.
 
 Pass one also yields no-majority evidence for free: every cancellation
-matches one ball of the current candidate's class against the ball that
-cancelled it, a provably-unequal pair.  Those pairs plus the pass-two census
-form the certificate for a no-majority verdict.
+matches one unmatched ball of the current candidate's class against the
+ball that cancelled it, a provably-unequal pair.  Those pairs plus the
+pass-two census form the certificate for a no-majority verdict.  They are
+derived from the joined flags, and only when the verdict needs them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _two_pass(oracle: CountingOracle, balls: np.ndarray) -> tuple[Answer, Certif
         return Answer.no_majority(), Certificate()
 
     start = oracle.comparisons
-    candidate, cancelled = oracle.vote(balls)
+    candidate, joined = oracle.vote(balls)
     # Pass two never adapts, so it is one batch in the loop's order.
     count = 1 + int(np.count_nonzero(oracle.cmp_many(candidate, balls[balls != candidate])))
 
@@ -59,5 +60,33 @@ def _two_pass(oracle: CountingOracle, balls: np.ndarray) -> tuple[Answer, Certif
 
     if count > m // 2:
         return Answer.majority(candidate, count), None
-    pairs = np.array(cancelled, dtype=np.int64).reshape(-1, 2)
+    pairs = _cancelled_pairs(balls, joined)
     return Answer.no_majority(), Certificate(pairs=pairs, candidate=candidate)
+
+
+def _cancelled_pairs(balls: np.ndarray, joined: np.ndarray) -> np.ndarray:
+    """The (class ball, ball that cancelled it) pairs of pass one, in canceller order.
+
+    Pass one keeps the unmatched class balls on a stack: a joiner pushes and
+    a canceller pops the latest one.  A joiner's level is the stack depth
+    after its step and a canceller's the depth before it, so in (level,
+    position) order each level alternates push, pop, push, ... and every
+    canceller directly follows the ball it cancels.  Both parts fit one
+    int64 key while there are fewer than 2**31 balls.
+    """
+    m = len(balls)
+    cancels = ~joined
+    shift = m.bit_length()
+    key = np.subtract(joined, cancels, dtype=np.int64)
+    np.cumsum(key, out=key)  # the depth after each step
+    key += cancels
+    key <<= shift
+    key |= np.arange(m)
+    key.sort()
+    key &= (1 << shift) - 1  # now the positions in (level, position) order
+    popped = cancels[key].nonzero()[0]
+    mate = np.empty_like(key)
+    mate[key[popped]] = key[popped - 1]
+    # Integer indices: a mask this irregular gathers far more slowly.
+    cancellers = cancels.nonzero()[0]
+    return np.column_stack((balls[mate[cancellers]], balls[cancellers]))

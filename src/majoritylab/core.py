@@ -14,9 +14,9 @@ which is what the certificate auditing in `certify` consumes.
 The billing rule is that the solver never learns a comparison it is not
 billed for.  ``scan_until`` looks colors up in doubling windows and may
 look past its stopping point, but nothing past the stop is billed, recorded
-or returned.  ``vote`` looks up the colors of all its balls at once and
+or returned.  ``vote`` looks up the colors of all its balls at once,
 bills every comparison its loop makes, one per ball that does not become a
-fresh candidate.
+fresh candidate, and records them as one batch.
 """
 
 from __future__ import annotations
@@ -42,6 +42,25 @@ __all__ = [
 ]
 
 
+def _require_integers(values: Sequence | np.ndarray, what: str) -> None:
+    """Raise ValueError unless every value is an integer (bools are not).
+
+    An array of an integer dtype passes at once.  Anything else is checked
+    value by value, since converting it to int64 would truncate a float or
+    parse a string.  Object arrays pass when they hold ints only, such as
+    ids too large for int64.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu" or not values.size:
+            return
+        if values.dtype != object:
+            raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+        values = values.flat
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {value!r}")
+
+
 class Instance:
     """Immutable multiset of colored balls; colors are opaque unsigned ints.
 
@@ -61,6 +80,7 @@ class Instance:
         if int64_array and not colors.flags.writeable:
             ids = colors
         else:
+            _require_integers(colors, "color ids")
             try:
                 ids = np.array(colors, dtype=np.int64)
             except OverflowError:
@@ -177,7 +197,10 @@ class CountingOracle:
 
     The primitives are ``cmp`` (one pair), ``cmp_many`` (a batch of pairs),
     ``scan_until`` (pairs in order up to the k-th event) and ``vote``
-    (Boyer-Moore's first pass).
+    (Boyer-Moore's first pass, which reports the balls that joined the
+    candidate and leaves the cancelled pairs to the caller).  Only ``cmp``
+    records through the transcript's pending list; the others record one
+    batch per call.
     """
 
     __slots__ = ("instance", "_ids", "_colors", "_n", "comparisons", "_transcript")
@@ -305,57 +328,69 @@ class CountingOracle:
             self._transcript._add_batch(np.full(asked, v, dtype=np.int64), right, equal)
         return events
 
-    def vote(self, balls: np.ndarray) -> tuple[int, list[int]]:
+    def vote(self, balls: np.ndarray) -> tuple[int, np.ndarray]:
         """Boyer-Moore's first pass over the balls, in their order.
 
-        A ball met while no ball of the candidate's class is unmatched
-        becomes the candidate at no cost.  Every other ball is compared with
-        the candidate: an equal one joins the unmatched class balls, an
-        unequal one cancels the latest of them.  Returns the last candidate
-        and the cancelled pairs as one flat list, (class ball, ball that
-        cancelled it) after each other.  Bills and records exactly the
-        comparisons of that loop, in its order.  A bad index raises
+        A ball met while the candidate's lead is zero becomes the candidate
+        at no cost.  Every other ball is compared with the candidate: an
+        equal one raises the lead, an unequal one lowers it.  Returns the
+        last candidate and ``joined``, a bool array that is True for the
+        balls that became the candidate or matched it and False for the
+        balls that cancelled one.  Bills and records exactly the comparisons
+        of that loop, in its order, as one batch.  A bad index raises
         IndexError, and no balls raise ValueError, before anything is billed
         or recorded.
         """
         balls = np.asarray(balls, dtype=np.int64)
-        if not len(balls):
+        m = len(balls)
+        if not m:
             raise ValueError("vote: needs at least one ball")
         idx = self._index("vote", balls)
         # In place: "clip" skips the copy of the output that "raise" makes,
         # and every index is already in range.
-        colors = self._ids.take(idx, out=idx, mode="clip").tolist()
-        pending = None if self._transcript is None else self._transcript._pending
-        stack: list[int] = []  # unmatched balls of the candidate's class
-        cancelled: list[int] = []
-        candidate = color = adopted = 0
-        for b, c in zip(balls.tolist(), colors):
-            if not stack:
-                candidate, color = b, c
-                stack.append(b)
-                adopted += 1
-            elif c == color:
-                stack.append(b)
-                if pending is not None:
-                    pending.extend((candidate, b, True))
-            else:
-                cancelled.extend((stack.pop(), b))
-                if pending is not None:
-                    pending.extend((candidate, b, False))
-        self.comparisons += len(colors) - adopted
-        return candidate, cancelled
+        colors = self._ids.take(idx, out=idx, mode="clip")
+        fresh: list[int] = []  # positions of the fresh candidates
+        steps = enumerate(colors.tolist())
+        for start, color in steps:
+            fresh.append(start)
+            lead = 1
+            for _, c in steps:
+                if c == color:
+                    lead += 1
+                else:
+                    lead -= 1
+                    if not lead:
+                        break
+        # Each ball met the latest fresh candidate at or before it: its owner.
+        starts = np.array(fresh)
+        owner = np.zeros(m, dtype=starts.dtype)
+        owner[starts] = starts
+        np.maximum.accumulate(owner, out=owner)
+        joined = colors == colors[owner]
+        self.comparisons += m - len(fresh)
+        if self._transcript is not None:
+            # Integer indices: a mask this irregular gathers far more slowly.
+            asked = (owner != np.arange(m)).nonzero()[0]
+            left = balls[owner[asked]]
+            self._transcript._add_batch(left, balls[asked], joined[asked])
+        return int(balls[fresh[-1]]), joined
 
     def distinct_balls(self, balls: Iterable[int]) -> np.ndarray:
         """The given balls as an int64 array, in their order.
 
-        Raises ValueError, before anything is billed, when a ball lies
-        outside 1..n or appears twice.  One sort finds both: its ends give
-        the range, and a repeat sits next to its twin.
+        Raises ValueError, before anything is billed, when the balls are not
+        a one-dimensional list of integers, or when a ball lies outside 1..n
+        or appears twice.  One sort finds the last two: its ends give the
+        range, and a repeat sits next to its twin.
         """
+        balls = balls if isinstance(balls, np.ndarray) else list(balls)
+        _require_integers(balls, "balls")
         try:
-            given = np.array(balls if isinstance(balls, np.ndarray) else list(balls), np.int64)
+            given = np.array(balls, np.int64)
         except OverflowError:
             raise ValueError(f"balls must lie in 1..{self._n}: one exceeds int64") from None
+        if given.ndim != 1:
+            raise ValueError(f"balls must be one-dimensional, got shape {given.shape}")
         ordered = np.sort(given)
         if len(ordered) and not (1 <= ordered[0] and ordered[-1] <= self._n):
             bad = ordered[0] if ordered[0] < 1 else ordered[-1]

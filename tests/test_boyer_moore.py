@@ -125,7 +125,16 @@ def test_recorded_transcript_matches_scalar_two_pass_reference(colors, picks):
 
 
 @pytest.mark.parametrize(
-    "spec", ["binary:p=0.5", "profile:0.48,rest=100", "uniform:k=3", "uniform:k=n"]
+    "spec",
+    [
+        "binary:p=0.5",
+        "profile:0.48,rest=100",
+        "uniform:k=3",
+        "uniform:k=n",
+        "binary:p=0.9",  # a deep stack
+        "profile:0.5,0.5",  # an exact tie: no majority with a deep stack
+        "distinct",
+    ],
 )
 @pytest.mark.parametrize("subset", [False, True])
 def test_vote_matches_scalar_two_pass_reference_at_scale(spec, subset):
@@ -148,9 +157,9 @@ def test_vote_keeps_call_order_after_pending_scalar_records():
     oracle = CountingOracle(inst, record_transcript=True)
     oracle.cmp(1, 4)
     oracle.cmp(2, 1)
-    candidate, cancelled = oracle.vote(np.array([1, 2, 3, 5, 6]))
+    candidate, joined = oracle.vote(np.array([1, 2, 3, 5, 6]))
     oracle.cmp(6, 6)
-    assert (candidate, cancelled) == (3, [1, 2])
+    assert (candidate, joined.tolist()) == (3, [True, False, True, True, True])
     assert list(oracle.transcript) == [
         (1, 4, True),
         (2, 1, False),
@@ -179,7 +188,30 @@ def test_vote_bills_the_same_recorded_or_not(colors):
     inst = Instance(colors)
     balls = np.arange(1, inst.n + 1)
     plain, recorded = CountingOracle(inst), CountingOracle(inst, record_transcript=True)
-    assert plain.vote(balls) == recorded.vote(balls)
+    (plain_candidate, plain_joined), (candidate, joined) = plain.vote(balls), recorded.vote(balls)
+    assert plain_candidate == candidate
+    np.testing.assert_array_equal(plain_joined, joined)
     assert plain.comparisons == recorded.comparisons == len(recorded.transcript)
     assert boyer_moore(plain) == boyer_moore(recorded)
     assert plain.comparisons == recorded.comparisons == len(recorded.transcript)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(1, 40)), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_two_colour_runs_match_scalar_two_pass_reference(runs, data):
+    # Long runs of one colour build deep stacks of unmatched class balls,
+    # so the cancelled pairs reach far back into pass one.
+    inst = Instance([color for color, length in runs for _ in range(length)])
+    everyone = list(range(1, inst.n + 1))
+    picks = data.draw(st.none() | st.lists(st.sampled_from(everyone), min_size=1, unique=True))
+    balls = everyone if picks is None else picks
+    oracle = CountingOracle(inst, record_transcript=True)
+    scalar = CountingOracle(inst, record_transcript=True)
+    # Certificates compare their pairs in order.
+    assert boyer_moore(oracle, picks) == scalar_boyer_moore(scalar, balls)
+    assert oracle.comparisons == scalar.comparisons
+    for column, expected in zip(oracle.transcript.columns(), scalar.transcript.columns()):
+        np.testing.assert_array_equal(column, expected)

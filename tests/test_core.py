@@ -60,6 +60,26 @@ def test_instance_of_no_balls_and_bad_ids():
         Instance(np.ones((2, 2), dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[1.5, 1.2], np.array([1.5, 1.2]), ["1", "2"], np.array(["1", "2"]), [True, False],
+     np.array([1, 2.5], dtype=object)],
+    ids=["floats", "float-array", "strings", "string-array", "bools", "object-float"],
+)
+def test_instance_rejects_non_integer_ids(bad):
+    # Converted to int64, 1.5 and 1.2 would both read as colour 1.
+    with pytest.raises(ValueError, match="integers"):
+        Instance(bad)
+
+
+def test_instance_keeps_object_and_huge_integer_ids():
+    assert Instance([2**63, 1, 2**63]).colors == (2**63, 1, 2**63)
+    objects = Instance(np.array([2**70, 3, 2**70], dtype=object))
+    assert objects.colors == (2**70, 3, 2**70)
+    renamed = relabel(objects, RandomStream(9))
+    assert sorted(Counter(renamed.colors).values()) == [1, 2]
+
+
 def test_oracle_counts_every_call():
     oracle = CountingOracle(Instance((1, 1, 2)))
     assert oracle.cmp(1, 2) is True

@@ -580,6 +580,31 @@ def test_out_of_range_balls_are_rejected_before_any_comparison(solver, balls):
 
 
 @pytest.mark.parametrize(
+    "solver",
+    [majority, lambda o, balls: heavy(o, 3, balls), boyer_moore],
+    ids=["majority", "heavy", "boyer_moore"],
+)
+@pytest.mark.parametrize(
+    "balls",
+    [
+        [1.9, 2.9, 5],
+        np.array([1.0, 2.0, 5.0]),
+        ["1", "2", "5"],
+        [True, False],
+        [[1, 2], [3, 4]],
+        np.array([[1, 2], [3, 4]]),
+    ],
+    ids=["floats", "float-array", "strings", "bools", "nested-list", "2-D-array"],
+)
+def test_non_integer_or_nested_balls_are_rejected_before_any_comparison(solver, balls):
+    # Truncated, balls 1.9, 2.9 and 5 would read as 1, 2 and 5: a majority of colour 1.
+    oracle = CountingOracle(Instance((1, 1, 2, 2, 1)))
+    with pytest.raises(ValueError, match="integers|one-dimensional"):
+        solver(oracle, balls=balls)
+    assert oracle.comparisons == 0
+
+
+@pytest.mark.parametrize(
     "spec", ["binary:p=0.5", "binary:p=0.9", "profile:0.48,rest=100", "uniform:k=n", "uniform:k=3"]
 )
 def test_recording_does_not_change_the_run(spec):
