@@ -25,6 +25,10 @@ from .core import CountingOracle
 
 __all__ = ["boyer_moore"]
 
+# _cancelled_pairs packs a stack depth and a position, each below 2**31, into
+# one int64 key.
+_MAX_BALLS = 1 << 31
+
 
 def boyer_moore(
     oracle: CountingOracle, balls: Sequence[int] | None = None
@@ -44,8 +48,14 @@ def boyer_moore(
 
 
 def _two_pass(oracle: CountingOracle, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
-    """``boyer_moore`` on distinct, in-range balls given as an int64 array."""
+    """``boyer_moore`` on distinct, in-range balls given as an int64 array.
+
+    Raises ValueError, before anything is billed or allocated, for 2**31
+    balls or more, where the cancelled pairs' keys would not fit int64.
+    """
     m = len(balls)
+    if m >= _MAX_BALLS:
+        raise ValueError(f"boyer_moore: {m} balls; its pair keys need fewer than 2**31")
     if m == 0:
         return Answer.no_majority(), Certificate()
 

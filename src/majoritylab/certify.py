@@ -122,6 +122,10 @@ def _rows(mask: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(col.take(index) for col in columns)
 
 
+# The largest n with (n + 1) ** 2 < 2**63, so that every conflict key fits int64.
+_MAX_N = 3_037_000_498
+
+
 def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStructure:
     """Replay a transcript into class labels and conflict keys.
 
@@ -133,7 +137,13 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
     a later equality can never silently invalidate an already-registered
     conflict: if any unequal record ends up inside one class, the
     transcript is contradictory and we raise.
+
+    Raises ValueError, before anything is read or allocated, when n is too
+    large for the keys: they and the closing key of the no-majority check
+    reach (n + 1) ** 2, which must stay below 2**63.
     """
+    if n > _MAX_N:
+        raise ValueError(f"n={n} is too large for int64 conflict keys: at most {_MAX_N}")
     left, right, equal = _columns(transcript)
     if len(left) and (min(left.min(), right.min()) < 1 or max(left.max(), right.max()) > n):
         outside = (left < 1) | (left > n) | (right < 1) | (right > n)

@@ -17,6 +17,13 @@ look past its stopping point, but nothing past the stop is billed, recorded
 or returned.  ``vote`` looks up the colors of all its balls at once,
 bills every comparison its loop makes, one per ball that does not become a
 fresh candidate, and records them as one batch.
+
+The array primitives take balls as integer arrays or sequences; anything
+else, bools and floats included, raises ValueError before anything is
+billed.  Each range-checks a ball array once, into a fresh array of
+0-based indices, and looks the colors up in place in that array, so a
+lookup allocates nothing more and the caller's arrays are only read.  The
+transcript keeps copies of the balls, since callers may reuse theirs.
 """
 
 from __future__ import annotations
@@ -200,7 +207,9 @@ class CountingOracle:
     (Boyer-Moore's first pass, which reports the balls that joined the
     candidate and leaves the cancelled pairs to the caller).  Only ``cmp``
     records through the transcript's pending list; the others record one
-    batch per call.
+    batch per call.  The array primitives gather colours in place, into
+    the index arrays their range checks make (``scan_until`` one window
+    at a time), and reject balls that are not integers with ValueError.
     """
 
     __slots__ = ("instance", "_ids", "_colors", "_n", "comparisons", "_transcript")
@@ -213,22 +222,48 @@ class CountingOracle:
         self.comparisons = 0
         self._transcript: Transcript | None = Transcript() if record_transcript else None
 
-    def _index(self, op: str, balls):
-        """``balls - 1`` for one ball or an int64 array of balls.
+    def _balls(self, op: str, balls) -> np.ndarray:
+        """The balls as a one-dimensional integer array.
 
-        Raises IndexError naming the first ball outside 1..n.  Shifted to
-        0-based and viewed as unsigned, an index below 1 wraps past n, so
-        one max checks both ends of the range.
+        An array of an integer dtype is taken as it is, so a uint64 ball
+        keeps its own value; a sequence is checked value by value and made
+        an int64 array.  Raises ValueError for anything else, bools
+        included.
+        """
+        _require_integers(balls, f"{op} balls")
+        if not isinstance(balls, np.ndarray):
+            try:
+                balls = np.array(balls, dtype=np.int64)
+            except OverflowError:
+                bad = next(b for b in balls if not 1 <= b <= self._n)
+                raise IndexError(self._outside(op, bad)) from None
+        if balls.ndim != 1:
+            raise ValueError(f"{op}: balls must be one-dimensional, got shape {balls.shape}")
+        return balls
+
+    def _outside(self, op: str, ball: int) -> str:
+        return f"ball index out of range: {op} got {ball} with n={self._n}"
+
+    def _index(self, op: str, balls):
+        """A fresh int64 array ``balls - 1`` for an integer array of balls,
+        or ``ball - 1`` for one ball.
+
+        Raises IndexError naming the first ball outside 1..n by its own
+        value.  Shifted to 0-based and viewed as unsigned, an index below 1
+        wraps past n, so one max checks both ends of the range.  The array
+        is the caller's to gather colours into, in place.
         """
         n = self._n
         if isinstance(balls, np.ndarray):
-            idx = balls - 1
+            idx = np.subtract(balls, 1, dtype=np.int64, casting="unsafe")
             if not len(idx) or np.maximum.reduce(idx.view(np.uint64)) < n:
                 return idx
             balls = next(b for b in balls.tolist() if not 1 <= b <= n)
+        elif isinstance(balls, bool) or not isinstance(balls, (int, np.integer)):
+            raise ValueError(f"{op}: a ball must be an integer, got {balls!r}")
         elif 1 <= balls <= n:
             return balls - 1
-        raise IndexError(f"ball index out of range: {op} got {balls} with n={n}")
+        raise IndexError(self._outside(op, balls))
 
     def cmp(self, x: int, y: int) -> bool:
         if not (1 <= x <= self._n and 1 <= y <= self._n):
@@ -243,22 +278,27 @@ class CountingOracle:
         """Compare xs[i] with ys[i] for every i; xs may be a single ball.
 
         Bills len(ys) comparisons and returns the answers as a bool array.
-        The whole batch is range-checked first: a bad index raises
-        IndexError before anything is billed or recorded.
+        The whole batch is checked first: balls that are not integers raise
+        ValueError and a bad index raises IndexError, before anything is
+        billed or recorded.  The colours are gathered into the index arrays
+        that the range check makes, so the callers' arrays are only read.
         """
-        ys = np.asarray(ys, dtype=np.int64)
-        single = isinstance(xs, (int, np.integer))
+        ys = self._balls("cmp_many", ys)
+        single = not isinstance(xs, (np.ndarray, list, tuple))
         if not single:
-            xs = np.asarray(xs, dtype=np.int64)
+            xs = self._balls("cmp_many", xs)
             if xs.shape != ys.shape:
                 raise ValueError(f"cmp_many: {xs.shape} left balls against {ys.shape} right")
         ix, iy = self._index("cmp_many", xs), self._index("cmp_many", ys)
         ids = self._ids
-        equal = ids[iy] == ids[ix]
+        # In place: "clip" skips the copy of the output that "raise" makes,
+        # and every index is already in range.
+        color = ids[ix] if single else ids.take(ix, out=ix, mode="clip")
+        equal = ids.take(iy, out=iy, mode="clip") == color
         self.comparisons += len(ys)
         if self._transcript is not None:
-            left = np.full(len(ys), xs, dtype=np.int64) if single else xs.copy()
-            self._transcript._add_batch(left, ys.copy(), equal)
+            left = np.full(len(ys), xs, dtype=np.int64) if single else np.array(xs, np.int64)
+            self._transcript._add_batch(left, np.array(ys, np.int64), equal)
         return equal
 
     def scan_until(
@@ -272,11 +312,12 @@ class CountingOracle:
         with seconds[i]; its event is two misses.  Returns the event flags
         of the pairs walked: up to and including the k-th event, or all of
         them.  Bills and records exactly the comparisons of that loop, in
-        its order.  A bad index raises IndexError, mismatched columns or
-        k < 1 raise ValueError, before anything is billed or recorded.
+        its order.  A bad index raises IndexError; balls that are not
+        integers, mismatched columns or k < 1 raise ValueError; all before
+        anything is billed or recorded.
         """
-        firsts = np.asarray(firsts, dtype=np.int64)
-        seconds = np.asarray(seconds, dtype=np.int64)
+        firsts = self._balls("scan_until", firsts)
+        seconds = self._balls("scan_until", seconds)
         if firsts.shape != seconds.shape:
             raise ValueError(f"scan_until: {firsts.shape} first balls against {seconds.shape}")
         if k < 1:
@@ -284,16 +325,21 @@ class CountingOracle:
         ids = self._ids
         ix, iy = self._index("scan_until", firsts), self._index("scan_until", seconds)
         color = None if v is None else ids[self._index("scan_until", v)]
+        # In range, so exact as int64; the transcript copies from these.
+        firsts = firsts.astype(np.int64, copy=False)
+        seconds = seconds.astype(np.int64, copy=False)
         # Colors are looked up in windows that double in length, never twice
         # for one pair, until the k-th event is inside one.  The k-th event
         # is at pair k or later, and a lookup costs less than a numpy call,
-        # so the first window holds max(k, _FIRST_WINDOW) pairs.
+        # so the first window holds max(k, _FIRST_WINDOW) pairs.  Each window
+        # is gathered in place into the index arrays, as in cmp_many.
         chunks: list[np.ndarray] = []
         misses: list[np.ndarray] = []
         found, lo, hi = 0, 0, min(len(ix), max(k, _FIRST_WINDOW))
         walked = len(ix)
         while True:
-            first, second = ids[ix[lo:hi]], ids[iy[lo:hi]]
+            first = ids.take(ix[lo:hi], out=ix[lo:hi], mode="clip")
+            second = ids.take(iy[lo:hi], out=iy[lo:hi], mode="clip")
             if color is None:
                 event = first != second
             else:
@@ -338,16 +384,16 @@ class CountingOracle:
         balls that became the candidate or matched it and False for the
         balls that cancelled one.  Bills and records exactly the comparisons
         of that loop, in its order, as one batch.  A bad index raises
-        IndexError, and no balls raise ValueError, before anything is billed
-        or recorded.
+        IndexError, and balls that are not integers or no balls raise
+        ValueError, before anything is billed or recorded.
         """
-        balls = np.asarray(balls, dtype=np.int64)
+        balls = self._balls("vote", balls)
         m = len(balls)
         if not m:
             raise ValueError("vote: needs at least one ball")
         idx = self._index("vote", balls)
-        # In place: "clip" skips the copy of the output that "raise" makes,
-        # and every index is already in range.
+        balls = balls.astype(np.int64, copy=False)  # in range, so exact
+        # In place, as in cmp_many.
         colors = self._ids.take(idx, out=idx, mode="clip")
         fresh: list[int] = []  # positions of the fresh candidates
         steps = enumerate(colors.tolist())
@@ -393,7 +439,9 @@ class CountingOracle:
             raise ValueError(f"balls must be one-dimensional, got shape {given.shape}")
         ordered = np.sort(given)
         if len(ordered) and not (1 <= ordered[0] and ordered[-1] <= self._n):
-            bad = ordered[0] if ordered[0] < 1 else ordered[-1]
+            # Named from the balls as given: a uint64 ball past int64 wraps in ``given``.
+            values = balls.tolist() if isinstance(balls, np.ndarray) else balls
+            bad = next(b for b in values if not 1 <= b <= self._n)
             raise ValueError(f"balls must lie in 1..{self._n}, got {bad}")
         if np.count_nonzero(ordered[1:] == ordered[:-1]):
             raise ValueError("balls must be distinct")

@@ -24,12 +24,15 @@ short, finish the no-majority certificate by pairing off the rest in the
 order the balls arrive, which a dispatching level has already shuffled.
 
 Balls travel between levels as int64 arrays, and certificates carry their
-pairs as one ``(k, 2)`` int64 array that every producer builds by stacking
-columns, in the pair order the leftover probe walks.  The sampled pairs,
-the rest of the pairing and each census are one ``CountingOracle.cmp_many``
-batch each.  The deficit scan and heavy's pair scan are one
-``CountingOracle.scan_until`` call each, which bills exactly the
-comparisons of the pair-by-pair scan and stops where it stops.
+pairs as one ``(k, 2)`` int64 array, in the pair order the leftover probe
+walks.  A pairing level keeps its pairs as rows from the shuffle on: the
+shuffled balls viewed as ``(m//2, 2)``, split into the equal and the
+unequal rows by one row gather each.  The unequal rows are the pairs the
+deficit scan walks and the certificate holds, with no restacking.  The
+sampled pairs, the rest of the pairing and each census are one
+``CountingOracle.cmp_many`` batch each.  The deficit scan and heavy's pair
+scan are one ``CountingOracle.scan_until`` call each, which bills exactly
+the comparisons of the pair-by-pair scan and stops where it stops.
 
 Every path is Las Vegas: answers are always exact, randomness moves only
 the comparison count.  No-majority answers carry a certificate that an
@@ -172,7 +175,7 @@ class _Run:
 
 
 def _sample(
-    oracle: CountingOracle, lv: LevelStats, firsts: np.ndarray, seconds: np.ndarray
+    oracle: CountingOracle, lv: LevelStats, pairs: np.ndarray
 ) -> tuple[np.ndarray, int | None]:
     """Compare the level's first k pairs and pick a census candidate, if any.
 
@@ -188,9 +191,9 @@ def _sample(
     """
     k = min(lv.m // 2, _SAMPLE_ROOTS * math.isqrt(lv.m))
     start = oracle.comparisons
-    equal = oracle.cmp_many(firsts[:k], seconds[:k])
+    equal = oracle.cmp_many(pairs[:k, 0], pairs[:k, 1])
     paired = oracle.comparisons - start
-    survivors = seconds[:k][equal]
+    survivors = pairs[:k, 1][equal]
     s = len(survivors)
     top, hits = None, 0
     if s:
@@ -213,23 +216,25 @@ def _sample(
 
 
 def _pair_up(
-    oracle: CountingOracle, firsts: np.ndarray, seconds: np.ndarray, sampled: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    oracle: CountingOracle, pairs: np.ndarray, sampled: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Compare the pairs after the sampled ones and split all of them.
 
-    Returns (survivors, mates, unequal).  The second ball of each equal
-    pair survives and ``mates`` holds the first, which is what certificate
-    lifting needs to undouble the survivor set; ``unequal`` is the
-    (firsts, seconds) columns of the unequal pairs.  The flags and indices
-    are freed on return, before the level recurses.
+    Returns the equal and the unequal rows of ``pairs``.  Column 1 of the
+    equal rows holds the survivors and column 0 their mates, which is
+    what certificate lifting needs to undouble the survivor set.  The
+    unequal rows are read-only, so a certificate holds them as they are.
+    The flags and indices are freed on return, before the level recurses.
     """
     k = len(sampled)
     equal = sampled
-    if k < len(firsts):
-        equal = np.concatenate((sampled, oracle.cmp_many(firsts[k:], seconds[k:])))
+    if k < len(pairs):
+        equal = np.concatenate((sampled, oracle.cmp_many(pairs[k:, 0], pairs[k:, 1])))
     # Split by index: on an unpredictable split, take beats boolean masks.
-    same, split = equal.nonzero()[0], (~equal).nonzero()[0]
-    return seconds.take(same), firsts.take(same), (firsts.take(split), seconds.take(split))
+    same = pairs.take(equal.nonzero()[0], axis=0)
+    unequal = pairs.take((~equal).nonzero()[0], axis=0)
+    unequal.flags.writeable = False
+    return same, unequal
 
 
 def _resolve_leftover(
@@ -330,22 +335,23 @@ def _lift_certificate(cert: Certificate, survivors: np.ndarray, mates: np.ndarra
         t1, t2, t3 = cert.triangle
         cross = ((t1, partner[t2]), (t2, partner[t3]), (t3, partner[t1]))
         pairs = np.concatenate((pairs, cross))
+    pairs.flags.writeable = False  # fresh, so the certificate holds it as it is
     return Certificate(pairs=pairs, candidate=cert.candidate)
 
 
 def _deficit_scan(
-    oracle: CountingOracle, v: int, cnt: int, unequal: tuple[np.ndarray, np.ndarray], m: int
+    oracle: CountingOracle, v: int, cnt: int, unequal: np.ndarray, m: int
 ) -> tuple[Answer, Certificate | None]:
-    """Settle a level's candidate v against its unequal pairs.
+    """Settle a level's candidate v against its unequal pairs, one per row.
 
     ``cnt`` is v's class size minus m//2 if every unprobed pair held one
     more of it, so a pair that misses v twice lowers it by one, and the
     scan stops at the cnt-th double miss, where no-majority is already
     forced.
     """
-    cnt -= int(np.count_nonzero(oracle.scan_until(v, *unequal, cnt)))
+    cnt -= int(np.count_nonzero(oracle.scan_until(v, unequal[:, 0], unequal[:, 1], cnt)))
     if cnt == 0:
-        return Answer.no_majority(), Certificate(pairs=np.column_stack(unequal), candidate=v)
+        return Answer.no_majority(), Certificate(pairs=unequal, candidate=v)
     return Answer.majority(v, m // 2 + cnt), None
 
 
@@ -365,20 +371,20 @@ def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]
     oracle = run.oracle
 
     order = run.permuted(balls)
-    half = m // 2
-    firsts, seconds = order[0 : 2 * half : 2], order[1 : 2 * half : 2]
-    sampled, candidate = _sample(oracle, lv, firsts, seconds)
+    pairs = order[: m - m % 2].reshape(-1, 2)
+    sampled, candidate = _sample(oracle, lv, pairs)
     if candidate is not None:
         lv.branch = "heavy"
         return _heavy(run, lv, order, candidate)
 
     start = oracle.comparisons
-    survivors, mates, unequal = _pair_up(oracle, firsts, seconds, sampled)
+    same, unequal = _pair_up(oracle, pairs, sampled)
     lv.pairing_comparisons += oracle.comparisons - start
     leftover = int(order[-1]) if m % 2 else None
-    del order, firsts, seconds, sampled  # not needed below; free them before recursing
+    del order, pairs, sampled  # not needed below; free them before recursing
+    mates, survivors = same[:, 0], same[:, 1]
     lv.x_size = len(survivors)
-    lv.y_pairs = len(unequal[0])
+    lv.y_pairs = len(unequal)
 
     if len(survivors):
         sub_answer, sub_cert = _solve(run, survivors)
@@ -389,7 +395,8 @@ def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]
         if sub_cert is None:
             raise ContractViolation("no-majority answer without a certificate")
         lifted = _lift_certificate(sub_cert, survivors, mates)
-        pairs = np.concatenate((np.column_stack(unequal), lifted.pairs))
+        pairs = np.concatenate((unequal, lifted.pairs))
+        pairs.flags.writeable = False
         cert = Certificate(pairs=pairs, candidate=lifted.candidate)
         if leftover is None:
             return Answer.no_majority(), cert
@@ -413,19 +420,17 @@ def _balanced(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]
 
 def _unequal_pairs(
     oracle: CountingOracle, order: np.ndarray, need: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Compare the disjoint pairs of ``order`` until ``need`` are unequal.
 
-    Returns the (firsts, seconds) columns of the unequal pairs found, fewer
-    than ``need`` only when the pairs run out, and the other balls of
-    ``order`` in their order.
+    Returns the unequal pairs found as rows, fewer than ``need`` only when
+    the pairs run out, and the other balls of ``order`` in their order.
     """
-    half = len(order) // 2
-    firsts, seconds = order[0 : 2 * half : 2], order[1 : 2 * half : 2]
-    found = oracle.scan_until(None, firsts, seconds, need).nonzero()[0]
+    pairs = order[: len(order) - len(order) % 2].reshape(-1, 2)
+    found = oracle.scan_until(None, pairs[:, 0], pairs[:, 1], need).nonzero()[0]
     paired = np.zeros(len(order), dtype=bool)
     paired[2 * found] = paired[2 * found + 1] = True
-    return firsts.take(found), seconds.take(found), order[~paired]
+    return pairs.take(found, axis=0), order[~paired]
 
 
 def _heavy(
@@ -466,10 +471,10 @@ def _heavy(
         return Answer.no_majority(), Certificate(pairs=np.column_stack((others, klass)))
 
     start = oracle.comparisons
-    firsts, seconds, rest = _unequal_pairs(oracle, others, need)
+    found, rest = _unequal_pairs(oracle, others, need)
     lv.pairing_comparisons = oracle.comparisons - start
 
-    if len(firsts) < need:
+    if len(found) < need:
         # Unlucky pair scan; rerun the deterministic baseline on the whole
         # level.  Rare by construction and still within the comparison cap.
         start = oracle.comparisons
@@ -479,11 +484,13 @@ def _heavy(
 
     triangle = None
     if m % 2:
-        triangle = (int(firsts[-1]), int(seconds[-1]), int(klass[-1]))
-        firsts, seconds, klass = firsts[:-1], seconds[:-1], klass[:-1]
+        a, b = found[-1].tolist()
+        triangle = (a, b, int(klass[-1]))
+        found, klass = found[:-1], klass[:-1]
     if len(rest) != len(klass):
         raise ContractViolation("census leftovers and class balls do not pair up")
-    pairs = np.column_stack((np.concatenate((firsts, rest)), np.concatenate((seconds, klass))))
+    pairs = np.concatenate((found, np.column_stack((rest, klass))))
+    pairs.flags.writeable = False
     return Answer.no_majority(), Certificate(pairs=pairs, triangle=triangle)
 
 

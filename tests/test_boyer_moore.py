@@ -16,6 +16,7 @@ from majoritylab import (
     verify_run,
 )
 
+from majoritylab.boyer_moore import _two_pass
 from support import all_colorings, assert_run_ok, run_boyer_moore
 
 
@@ -178,6 +179,17 @@ def test_vote_rejects_bad_balls_before_billing_or_recording(balls, error):
     oracle = CountingOracle(Instance((1, 1, 2, 2, 1, 1)), record_transcript=True)
     with pytest.raises(error):
         oracle.vote(np.array(balls, dtype=np.int64))
+    assert oracle.comparisons == 0
+    assert len(oracle.transcript) == 0
+
+
+def test_two_pass_rejects_2_31_balls_before_billing():
+    # The cancelled pairs' keys need fewer than 2**31 balls.  A zero-stride
+    # view gives the length without allocating the balls.
+    balls = np.broadcast_to(np.int64(1), (2**31,))
+    oracle = CountingOracle(Instance((1, 2)), record_transcript=True)
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        _two_pass(oracle, balls)
     assert oracle.comparisons == 0
     assert len(oracle.transcript) == 0
 

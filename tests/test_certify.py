@@ -319,6 +319,12 @@ def test_no_majority_rejects_a_ball_beyond_int64():
         Certificate(pairs=((1, 2), (3, 2**70)))
 
 
+def test_build_rejects_n_too_large_for_int64_keys():
+    # (n + 1) ** 2 must stay below 2**63: n = 3,037,000,498 is the largest.
+    with pytest.raises(ValueError, match="int64"):
+        build_eq_structure(3_037_000_499, [])
+
+
 def test_no_majority_checks_every_ball_of_a_unit():
     # A four-ball "triangle" whose fourth ball was never compared is not one
     # unit: colors 1 2 3 1 1 fit this transcript and have a majority.

@@ -154,6 +154,117 @@ def test_cmp_many_rejects_mismatched_batches():
     assert oracle.comparisons == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda o: o.cmp_many(np.array([1.7]), np.array([2.2])),
+        lambda o: o.cmp_many(1, np.array([2.2])),
+        lambda o: o.cmp_many(1.5, np.array([2])),
+        lambda o: o.cmp_many(True, np.array([2])),
+        lambda o: o.cmp_many(np.array([True]), np.array([False])),
+        lambda o: o.cmp_many([1], [2.5]),
+        lambda o: o.scan_until(None, np.array([1.5]), np.array([2.5]), 1),
+        lambda o: o.scan_until(1.5, np.array([2]), np.array([3]), 1),
+        lambda o: o.scan_until(None, np.array([True]), np.array([False]), 1),
+        lambda o: o.scan_until(1, [2], [3.0], 1),
+        lambda o: o.vote(np.array([1.9, 2.1, 3.0])),
+        lambda o: o.vote(np.array([True, False, True])),
+        lambda o: o.vote([1, 2.5]),
+    ],
+    ids=[
+        "cmp_many-floats",
+        "cmp_many-one-ball-float-batch",
+        "cmp_many-float-ball",
+        "cmp_many-bool-ball",
+        "cmp_many-bools",
+        "cmp_many-float-list",
+        "scan_until-floats",
+        "scan_until-float-ball",
+        "scan_until-bools",
+        "scan_until-float-list",
+        "vote-floats",
+        "vote-bools",
+        "vote-float-list",
+    ],
+)
+def test_array_primitives_reject_balls_that_are_not_integers(call):
+    # Truncated, balls 1.7 and 2.2 would read as 1 and 2 and bill a
+    # comparison nobody asked for; bools would read as balls 0 and 1.
+    oracle = CountingOracle(Instance((1, 2, 1)), record_transcript=True)
+    with pytest.raises(ValueError, match="integer"):
+        call(oracle)
+    assert oracle.comparisons == 0
+    assert len(oracle.transcript) == 0
+
+
+def test_a_uint64_ball_past_int64_is_named_by_its_own_value():
+    big = np.array([2**64 - 1], dtype=np.uint64)
+    oracle = CountingOracle(Instance((1, 2, 1)), record_transcript=True)
+    for call in (
+        lambda: oracle.cmp_many(big, np.array([1])),
+        lambda: oracle.cmp_many(1, big),
+        lambda: oracle.cmp_many(big[0], np.array([1])),
+        lambda: oracle.scan_until(None, np.array([1]), big, 1),
+        lambda: oracle.scan_until(big[0], np.array([1]), np.array([2]), 1),
+        lambda: oracle.vote(big),
+        lambda: oracle.cmp_many([1], [2**64 - 1]),
+    ):
+        with pytest.raises(IndexError, match=f"got {2**64 - 1} with n=3"):
+            call()
+    with pytest.raises(ValueError, match=f"got {2**64 - 1}"):
+        oracle.distinct_balls(big)
+    assert oracle.comparisons == 0
+    assert len(oracle.transcript) == 0
+
+
+def _read_only(values):
+    base = np.array(values, dtype=np.int64)
+    view = base.view()
+    view.flags.writeable = False
+    return view, base
+
+
+def _strided(values):
+    base = np.zeros(2 * len(values), dtype=np.int64)
+    base[::2] = values
+    return base[::2], base
+
+
+def _listed(values):
+    listed = list(values)
+    return listed, listed
+
+
+@pytest.mark.parametrize(
+    "make", [_read_only, _strided, _listed], ids=["read-only", "strided", "list"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda o, xs, ys: o.cmp_many(xs, ys),
+        lambda o, xs, ys: o.cmp_many(1, ys),
+        lambda o, xs, ys: o.scan_until(None, xs, ys, 3),
+        lambda o, xs, ys: o.scan_until(1, xs, ys, 3),
+        lambda o, xs, ys: o.vote(xs),
+    ],
+    ids=["cmp_many", "cmp_many-one-ball", "scan_until", "scan_until-ball", "vote"],
+)
+def test_array_primitives_leave_their_inputs_untouched(make, call):
+    # The colours are gathered into the primitives' own index arrays, and
+    # the transcript keeps its own copies of the balls.
+    oracle = CountingOracle(Instance((1, 2, 1, 2, 1, 1, 2, 2)), record_transcript=True)
+    firsts, seconds = [1, 3, 5, 7], [2, 4, 6, 8]
+    (xs, xs_base), (ys, ys_base) = make(firsts), make(seconds)
+    call(oracle, xs, ys)
+    assert list(xs) == firsts and list(ys) == seconds
+    recorded = [column.copy() for column in oracle.transcript.columns()]
+    assert len(recorded[0]) == oracle.comparisons > 0
+    xs_base[:] = [9] * len(xs_base)
+    ys_base[:] = [9] * len(ys_base)
+    for column, before in zip(oracle.transcript.columns(), recorded):
+        np.testing.assert_array_equal(column, before)
+
+
 def test_transcript_keeps_call_order_across_scalar_and_batched_calls():
     oracle = CountingOracle(Instance((1, 2, 1, 2, 1)), record_transcript=True)
     oracle.cmp(1, 2)

@@ -140,7 +140,7 @@ def test_sample_picks_the_dominant_class(pairs, candidate, sample, pairing):
     balls = np.arange(1, inst.n + 1, dtype=np.int64)
     oracle = CountingOracle(inst)
     lv = LevelStats("balanced", inst.n)
-    equal, top = randomized._sample(oracle, lv, balls[0::2], balls[1::2])
+    equal, top = randomized._sample(oracle, lv, balls.reshape(-1, 2))
     assert lv.sample_pairs == len(pairs) == 8
     assert equal.tolist() == [a == b for a, b in pairs]
     assert top == candidate
@@ -646,15 +646,13 @@ def scalar_unequal_pairs(oracle, order, need):
     return found
 
 
-def columns(pairs):
-    return (
-        np.array([a for a, _ in pairs], dtype=np.int64),
-        np.array([b for _, b in pairs], dtype=np.int64),
-    )
+def rows(pairs):
+    """The pairs as a (k, 2) int64 array, one pair per row."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def pairs_of(columns):
-    return list(zip(columns[0].tolist(), columns[1].tolist()))
+def pairs_of(rows):
+    return [tuple(pair) for pair in rows.tolist()]
 
 
 @st.composite
@@ -694,7 +692,7 @@ def test_deficit_scan_matches_scalar_reference(case):
     inst, cnt, pairs = case
     oracle = CountingOracle(inst, record_transcript=True)
     scalar = CountingOracle(inst, record_transcript=True)
-    got = _deficit_scan(oracle, 1, cnt, columns(pairs), inst.n)
+    got = _deficit_scan(oracle, 1, cnt, rows(pairs), inst.n)
     assert got == scalar_deficit_scan(scalar, 1, cnt, pairs, inst.n)
     assert oracle.comparisons == scalar.comparisons
     assert list(oracle.transcript) == list(scalar.transcript)
@@ -734,9 +732,9 @@ def test_pair_scan_matches_scalar_reference(case):
     order = np.arange(1, inst.n + 1, dtype=np.int64)
     oracle = CountingOracle(inst, record_transcript=True)
     scalar = CountingOracle(inst, record_transcript=True)
-    firsts, seconds, rest = _unequal_pairs(oracle, order, need)
+    pairs, rest = _unequal_pairs(oracle, order, need)
     found = scalar_unequal_pairs(scalar, order.tolist(), need)
-    assert pairs_of((firsts, seconds)) == found
+    assert pairs_of(pairs) == found
     paired = {b for pair in found for b in pair}
     assert rest.tolist() == [b for b in order.tolist() if b not in paired]
     assert oracle.comparisons == scalar.comparisons
@@ -751,7 +749,7 @@ def _scalar_pairs(oracle, order, need):
     found = scalar_unequal_pairs(oracle, order.tolist(), need)
     paired = {b for pair in found for b in pair}
     rest = np.array([b for b in order.tolist() if b not in paired], dtype=np.int64)
-    return (*columns(found), rest)
+    return rows(found), rest
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
