@@ -15,15 +15,17 @@ The billing rule is that the solver never learns a comparison it is not
 billed for.  ``scan_until`` looks colors up in doubling windows and may
 look past its stopping point, but nothing past the stop is billed, recorded
 or returned.  ``vote`` looks up the colors of all its balls at once,
-bills every comparison its loop makes, one per ball that does not become a
-fresh candidate, and records them as one batch.
+steps the start of each segment of the pass through a counter loop and
+finishes a segment whose lead grows long with array windows, bills every
+comparison of the pass, one per ball that does not become a fresh
+candidate, and records them as one batch.
 
-The array primitives take balls as integer arrays or sequences; anything
-else, bools and floats included, raises ValueError before anything is
-billed.  Each range-checks a ball array once, into a fresh array of
-0-based indices, and looks the colors up in place in that array, so a
-lookup allocates nothing more and the caller's arrays are only read.  The
-transcript keeps copies of the balls, since callers may reuse theirs.
+The primitives take balls as integers, or integer arrays or sequences;
+anything else, bools and floats included, raises ValueError before
+anything is billed.  Each range-checks a ball array once, into a fresh
+array of 0-based indices, and looks the colors up in place in that array,
+so a lookup allocates nothing more and the caller's arrays are only read.
+The transcript keeps copies of the balls, since callers may reuse theirs.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ def _require_integers(values: Sequence | np.ndarray, what: str) -> None:
             raise ValueError(f"{what} must be integers, got {value!r}")
 
 
+def _integer(value, what: str) -> int:
+    """The value as a Python int; ValueError unless it is an integer (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class Instance:
     """Immutable multiset of colored balls; colors are opaque unsigned ints.
 
@@ -88,9 +97,18 @@ class Instance:
             ids = colors
         else:
             _require_integers(colors, "color ids")
+            if isinstance(colors, np.ndarray) and colors.dtype == np.uint64 and colors.size:
+                # Cast to int64, ids past its range would wrap; as objects they
+                # overflow into the rank path below.
+                if colors.max() > np.iinfo(np.int64).max:
+                    colors = colors.astype(object)
             try:
                 ids = np.array(colors, dtype=np.int64)
             except OverflowError:
+                if np.ndim(colors) != 1:
+                    raise ValueError(
+                        f"colors must be one-dimensional, got shape {np.shape(colors)}"
+                    ) from None
                 colors = [int(c) for c in colors]
                 labels = tuple(sorted(set(colors)))
                 if labels[0] < 0:
@@ -189,8 +207,37 @@ class Transcript:
         return map(ComparisonRecord._make, zip(left.tolist(), right.tolist(), equal.tolist()))
 
 
-# The shortest window of pairs whose colors scan_until looks up at once.
+# The shortest window of pairs whose colors scan_until looks up at once,
+# and of balls that _segment_end steps through at once.
 _FIRST_WINDOW = 1024
+
+# The lead at which vote stops stepping a segment ball by ball.
+_WALK_LEAD = 16
+
+
+def _segment_end(colors: np.ndarray, color: int, lo: int, lead: int) -> int:
+    """The position after the ball that ends a segment of Boyer-Moore's pass one.
+
+    The segment's candidate has ``color`` and leads by ``lead`` before
+    position ``lo``; from there every ball raises the lead by one if it has
+    that colour and lowers it by one if not.  Returns the position after the
+    first ball that brings the lead to zero, or len(colors) if none does.
+    The balls are stepped through in windows that double in length, as in
+    ``scan_until``.
+    """
+    m, size = len(colors), _FIRST_WINDOW
+    while lo < m:
+        hi = min(m, lo + size)
+        same = colors[lo:hi] == color
+        walk = np.subtract(same, ~same, dtype=np.int64)  # each ball's step
+        np.cumsum(walk, out=walk)
+        ends = walk == -lead
+        end = int(ends.argmax())
+        if ends[end]:
+            return lo + end + 1
+        lead += int(walk[-1])
+        lo, size = hi, 2 * size
+    return m
 
 
 class CountingOracle:
@@ -259,13 +306,22 @@ class CountingOracle:
             if not len(idx) or np.maximum.reduce(idx.view(np.uint64)) < n:
                 return idx
             balls = next(b for b in balls.tolist() if not 1 <= b <= n)
-        elif isinstance(balls, bool) or not isinstance(balls, (int, np.integer)):
-            raise ValueError(f"{op}: a ball must be an integer, got {balls!r}")
-        elif 1 <= balls <= n:
-            return balls - 1
+        else:
+            balls = _integer(balls, f"{op}: a ball")
+            if 1 <= balls <= n:
+                return balls - 1
         raise IndexError(self._outside(op, balls))
 
     def cmp(self, x: int, y: int) -> bool:
+        """Compare balls x and y: bills one comparison and returns True if equal.
+
+        Balls that are not integers, bools and floats included, raise
+        ValueError and a bad index raises IndexError, before anything is
+        billed or recorded.  Python ints take the fast path; numpy integers
+        are made ints first.
+        """
+        if type(x) is not int or type(y) is not int:
+            x, y = _integer(x, "cmp: a ball"), _integer(y, "cmp: a ball")
         if not (1 <= x <= self._n and 1 <= y <= self._n):
             raise IndexError(f"ball index out of range: cmp({x}, {y}) with n={self._n}")
         self.comparisons += 1
@@ -383,9 +439,16 @@ class CountingOracle:
         last candidate and ``joined``, a bool array that is True for the
         balls that became the candidate or matched it and False for the
         balls that cancelled one.  Bills and records exactly the comparisons
-        of that loop, in its order, as one batch.  A bad index raises
+        of that pass, in its order, as one batch.  A bad index raises
         IndexError, and balls that are not integers or no balls raise
         ValueError, before anything is billed or recorded.
+
+        The pass runs as a counter loop over the gathered colours until a
+        segment's lead reaches _WALK_LEAD; ``_segment_end`` then finds the
+        end of that segment with array windows and the loop resumes after
+        it.  A segment of many colours rarely gets that far and pays for the
+        counter loop alone; a long lead, as on fair coins, costs numpy steps
+        instead of Python ones.
         """
         balls = self._balls("vote", balls)
         m = len(balls)
@@ -395,31 +458,49 @@ class CountingOracle:
         balls = balls.astype(np.int64, copy=False)  # in range, so exact
         # In place, as in cmp_many.
         colors = self._ids.take(idx, out=idx, mode="clip")
-        fresh: list[int] = []  # positions of the fresh candidates
-        steps = enumerate(colors.tolist())
+        # A counter loop starts every segment.  Once its lead reaches
+        # _WALK_LEAD, _segment_end finishes the segment with arrays and the
+        # list iterator jumps past it.  enumerate does not see the jump, so
+        # its positions then lag the balls' by the balls skipped so far;
+        # each jump is noted and the fresh positions are corrected after.
+        fresh: list[int] = []  # enumerate's positions of the fresh candidates
+        jumps: list[tuple[int, int]] = []  # (position, balls skipped after it)
+        skipped, walk_lead = 0, _WALK_LEAD
+        values = iter(colors.tolist())
+        steps = enumerate(values)
         for start, color in steps:
             fresh.append(start)
             lead = 1
-            for _, c in steps:
+            for i, c in steps:
                 if c == color:
                     lead += 1
+                    if lead == walk_lead:
+                        resume = _segment_end(colors, color, i + skipped + 1, lead)
+                        values.__setstate__(resume)
+                        skipped = resume - i - 1
+                        jumps.append((i, skipped))
+                        break
                 else:
                     lead -= 1
                     if not lead:
                         break
-        # Each ball met the latest fresh candidate at or before it: its owner.
-        starts = np.array(fresh)
-        owner = np.zeros(m, dtype=starts.dtype)
-        owner[starts] = starts
-        np.maximum.accumulate(owner, out=owner)
-        joined = colors == colors[owner]
-        self.comparisons += m - len(fresh)
+        fresh.append(m - skipped)  # the end, numbered as enumerate would
+        bounds = np.array(fresh)
+        if jumps:
+            at, shift = np.array(jumps).T
+            bounds += np.concatenate(([0], shift))[np.searchsorted(at, bounds)]
+        starts = bounds[:-1]
+        lengths = bounds[1:] - starts
+        joined = colors[starts].repeat(lengths) == colors
+        self.comparisons += m - len(starts)
         if self._transcript is not None:
+            # Each ball met the latest fresh candidate at or before it: its owner.
+            owner = starts.repeat(lengths)
             # Integer indices: a mask this irregular gathers far more slowly.
             asked = (owner != np.arange(m)).nonzero()[0]
             left = balls[owner[asked]]
             self._transcript._add_batch(left, balls[asked], joined[asked])
-        return int(balls[fresh[-1]]), joined
+        return int(balls[starts[-1]]), joined
 
     def distinct_balls(self, balls: Iterable[int]) -> np.ndarray:
         """The given balls as an int64 array, in their order.
@@ -587,6 +668,7 @@ def generate(spec: DistributionSpec | str, n: int, rng: RandomStream) -> Instanc
     """
     if isinstance(spec, str):
         spec = parse_distribution(spec)
+    n = _integer(n, "n")  # an int, so that n + 1 cannot wrap
     if n < 0:
         raise ValueError("n must be nonnegative")
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .answers import Answer, Certificate, ContractViolation
 from .boyer_moore import _two_pass
-from .core import CountingOracle
+from .core import CountingOracle, _integer
 from .lowerbound import beta_interval
 from .rng import RandomStream
 
@@ -74,6 +74,9 @@ class Params:
     cap_factor: int = 8
 
     def __post_init__(self) -> None:
+        # Numpy integers become ints, so that cap_factor * n cannot wrap.
+        for name in ("cutoff", "cap_factor"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
         if self.cap_factor < 1:

@@ -17,6 +17,7 @@ from majoritylab import (
 )
 
 from majoritylab.boyer_moore import _two_pass
+from majoritylab.core import _FIRST_WINDOW, _WALK_LEAD
 from support import all_colorings, assert_run_ok, run_boyer_moore
 
 
@@ -227,3 +228,121 @@ def test_two_colour_runs_match_scalar_two_pass_reference(runs, data):
     assert oracle.comparisons == scalar.comparisons
     for column, expected in zip(oracle.transcript.columns(), scalar.transcript.columns()):
         np.testing.assert_array_equal(column, expected)
+
+
+def pass_one(colors, balls):
+    """Pass one straight off the colours: (candidate, joined flags, comparisons)."""
+    candidate, lead, joined, fresh = None, 0, [], 0
+    for b in balls:
+        if not lead:
+            candidate, lead, fresh = b, 1, fresh + 1
+            joined.append(True)
+        elif colors[b - 1] == colors[candidate - 1]:
+            lead += 1
+            joined.append(True)
+        else:
+            lead -= 1
+            joined.append(False)
+    return candidate, joined, len(balls) - fresh
+
+
+def from_runs(*pairs):
+    """Colours from (colour, run length) pairs."""
+    return [color for color, length in pairs for _ in range(length)]
+
+
+def assert_vote_matches_scalar(colors, balls=None):
+    """vote and boyer_moore against pass_one and scalar_boyer_moore: candidate,
+    joined flags, answer, certificate, comparisons and every transcript column."""
+    inst = Instance(colors)
+    picked = list(range(1, inst.n + 1)) if balls is None else [int(b) for b in balls]
+    voter = CountingOracle(inst)
+    candidate, joined = voter.vote(np.array(picked) if balls is None else balls)
+    assert (candidate, joined.tolist(), voter.comparisons) == pass_one(colors, picked)
+    oracle = CountingOracle(inst, record_transcript=True)
+    scalar = CountingOracle(inst, record_transcript=True)
+    assert boyer_moore(oracle, balls) == scalar_boyer_moore(scalar, picked)
+    assert oracle.comparisons == scalar.comparisons
+    for column, expected in zip(oracle.transcript.columns(), scalar.transcript.columns()):
+        np.testing.assert_array_equal(column, expected)
+
+
+# vote steps a segment ball by ball until its lead reaches _WALK_LEAD, then
+# walks windows of _FIRST_WINDOW, 2 * _FIRST_WINDOW, ... balls.  A segment
+# that starts at ball 1 reaches that lead at ball _WALK_LEAD at the earliest,
+# so its first window ends at ball _WALK_LEAD + _FIRST_WINDOW.  A segment
+# always ends an odd number of balls after it starts and a window starts an
+# even number after, so a segment cannot end on a window's first ball; the
+# nearest it can come is the second.
+LEAD, WINDOW = _WALK_LEAD, _FIRST_WINDOW
+HALF = (LEAD + WINDOW) // 2
+
+
+@pytest.mark.parametrize(
+    "colors",
+    [
+        from_runs((1, LEAD)),
+        from_runs((1, LEAD - 1)),
+        from_runs((2, 3), (1, 3), (1, LEAD)),
+        from_runs((1, 20), (2, 20), (1, LEAD)),
+        from_runs((1, HALF), (2, HALF)),
+        from_runs((1, HALF), (2, HALF), (1, 5), (2, 2)),
+        from_runs((1, HALF), (2, HALF), (2, LEAD), (1, 3)),
+        from_runs((1, HALF + 1), (2, HALF + 1), (2, 4)),
+        from_runs((1, HALF + 1), (2, HALF + 1), (1, 1), (3, 1), (2, LEAD + 2)),
+        from_runs((1, 20)) + [2, 1] * (3 * WINDOW + 100) + from_runs((2, 5)),
+        from_runs((1, 20)) + [2, 1] * (3 * WINDOW + 100) + from_runs((2, 19)),
+        from_runs((1, 20)) + [2, 1] * (3 * WINDOW + 100) + from_runs((2, 20)),
+        from_runs((1, 600), (2, 600), (2, 700), (1, 700), (1, 2), (2, 30)),
+        from_runs((3, LEAD), (1, 9 * WINDOW)),
+    ],
+    ids=[
+        "lead-reached-on-the-last-ball",
+        "lead-one-short-at-the-end",
+        "lead-reached-on-the-last-ball-after-a-segment",
+        "lead-reached-on-the-last-ball-after-a-walk",
+        "ends-on-a-window's-last-ball",
+        "ends-on-a-window's-last-ball-then-more",
+        "ends-on-a-window's-last-ball-then-another-walk",
+        "ends-on-the-next-window's-second-ball",
+        "ends-on-the-next-window's-second-ball-then-more",
+        "open-at-the-end-across-windows",
+        "open-at-the-end-with-lead-one",
+        "ends-on-the-last-ball-across-windows",
+        "long-segment-then-another-at-once",
+        "one-segment-over-several-windows",
+    ],
+)
+def test_vote_walk_edges_match_scalar_reference(colors):
+    assert_vote_matches_scalar(colors)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32])
+def test_vote_walk_over_ball_subsets_matches_scalar_reference(dtype):
+    # Every other ball of a run-structured instance, then a shuffled subset:
+    # the walk gathers the given balls' colours, not the instance's.
+    colors = from_runs((1, 700), (2, 1500), (1, 2200), (3, 40), (2, 900))
+    n = len(colors)
+    every_other = np.arange(1, n + 1, 2, dtype=dtype)
+    assert_vote_matches_scalar(colors, every_other)
+    shuffled = np.random.default_rng(17).permutation(n)[: 2 * n // 3] + 1
+    assert_vote_matches_scalar(colors, shuffled.astype(dtype))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    spans=st.lists(
+        st.tuples(st.sampled_from([1, 2, 3]), st.integers(1, 3 * _FIRST_WINDOW)),
+        min_size=1,
+        max_size=6,
+    ),
+    flips=st.integers(0, 64),
+)
+def test_long_runs_match_scalar_reference(spans, flips):
+    # Runs long enough to cross window edges, with some balls flipped so that
+    # segments end at varied places.
+    colors = from_runs(*spans)
+    rng = np.random.default_rng(flips)
+    for position in rng.integers(0, len(colors), size=flips):
+        colors[position] = 1 + colors[position] % 3
+    assert_vote_matches_scalar(colors)

@@ -56,8 +56,13 @@ def test_instance_of_no_balls_and_bad_ids():
     for bad in ((1, -1), np.array([0, -5]), (2**70, -(2**70))):
         with pytest.raises(ValueError, match="unsigned"):
             Instance(bad)
-    with pytest.raises(ValueError):
-        Instance(np.ones((2, 2), dtype=np.int64))
+    for nested in (
+        np.ones((2, 2), dtype=np.int64),
+        np.array([[2**63, 1]], dtype=np.uint64),
+        np.array([[2**70, 1]], dtype=object),
+    ):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Instance(nested)
 
 
 @pytest.mark.parametrize(
@@ -80,6 +85,19 @@ def test_instance_keeps_object_and_huge_integer_ids():
     assert sorted(Counter(renamed.colors).values()) == [1, 2]
 
 
+def test_uint64_ids_past_int64_are_kept_as_ranks():
+    # Cast to int64, 2**63 would wrap to a negative id.
+    wide = Instance(np.array([2**63, 1, 2**64 - 1, 2**63], dtype=np.uint64))
+    assert wide == Instance([2**63, 1, 2**64 - 1, 2**63])
+    assert hash(wide) == hash(Instance([2**63, 1, 2**64 - 1, 2**63]))
+    assert [wide.color_of(b) for b in range(1, 5)] == [2**63, 1, 2**64 - 1, 2**63]
+    assert wide.color_array.tolist() == [1, 0, 2, 1]
+    assert Instance(np.array([2**63 - 1, 0], dtype=np.uint64)).color_array.tolist() == [
+        2**63 - 1,
+        0,
+    ]
+
+
 def test_oracle_counts_every_call():
     oracle = CountingOracle(Instance((1, 1, 2)))
     assert oracle.cmp(1, 2) is True
@@ -95,6 +113,30 @@ def test_oracle_rejects_out_of_range():
         oracle.cmp(0, 1)
     with pytest.raises(IndexError):
         oracle.cmp(1, 3)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(1.0, 3), (True, 3), (1, 3.0), (3, False), (np.float64(1), 3), ("1", 3), (None, 3)],
+    ids=["float", "bool", "float-right", "bool-right", "numpy-float", "string", "none"],
+)
+def test_cmp_rejects_balls_that_are_not_integers_before_billing(x, y):
+    # As ball 1, True would bill and answer a comparison of ball 1.
+    oracle = CountingOracle(Instance((1, 2, 1)), record_transcript=True)
+    with pytest.raises(ValueError, match="integer"):
+        oracle.cmp(x, y)
+    assert oracle.comparisons == 0
+    assert len(oracle.transcript) == 0
+
+
+def test_cmp_takes_numpy_integer_balls_as_ints():
+    oracle = CountingOracle(Instance((1, 2, 1)), record_transcript=True)
+    assert oracle.cmp(np.int64(1), np.uint64(3)) is True
+    assert oracle.cmp(np.int32(2), 1) is False
+    with pytest.raises(IndexError):
+        oracle.cmp(np.uint64(2**64 - 1), 1)
+    assert oracle.comparisons == 2
+    assert list(oracle.transcript) == [(1, 3, True), (2, 1, False)]
 
 
 def test_oracle_transcript_recording():
@@ -475,6 +517,18 @@ def test_describe_round_trips():
 
 
 # -- generation --------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["distinct", "binary:p=0.5", "uniform:k=3", "profile:2,1", "profile:0.5,0.5"])
+@pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None, np.float64(3)])
+def test_generate_rejects_sizes_that_are_not_integers(spec, n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        generate(spec, n, RandomStream(1))
+
+
+def test_generate_takes_a_numpy_integer_size():
+    assert generate("profile:2,1", np.int64(3), RandomStream(1)).n == 3
+    assert generate("distinct", np.uint8(255), RandomStream(1)).n == 255
 
 
 def test_generate_profile_counts_exact():

@@ -50,6 +50,22 @@ def test_params_validation():
         Params(cap_factor=0)
 
 
+@pytest.mark.parametrize("field", ["cutoff", "cap_factor"])
+@pytest.mark.parametrize("value", [2.5, 1.5, 64.0, True, "64", None, np.float64(8)])
+def test_params_reject_values_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        Params(**{field: value})
+
+
+def test_params_take_numpy_integers():
+    inst = generate("binary:p=0.5", 300, RandomStream(3))
+    params = Params(cutoff=np.int64(64), cap_factor=np.uint8(4))
+    assert (type(params.cutoff), type(params.cap_factor)) == (int, int)
+    answer, _, _ = majority(CountingOracle(inst), params=params, rng=RandomStream(4))
+    expected, _ = boyer_moore(CountingOracle(inst))
+    assert (answer.kind, answer.multiplicity) == (expected.kind, expected.multiplicity)
+
+
 # -- sampled dispatch ------------------------------------------------------
 
 # One-heavy-colour and two-colour inputs around the census threshold.
