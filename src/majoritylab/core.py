@@ -458,37 +458,32 @@ class CountingOracle:
         balls = balls.astype(np.int64, copy=False)  # in range, so exact
         # In place, as in cmp_many.
         colors = self._ids.take(idx, out=idx, mode="clip")
-        # A counter loop starts every segment.  Once its lead reaches
-        # _WALK_LEAD, _segment_end finishes the segment with arrays and the
-        # list iterator jumps past it.  enumerate does not see the jump, so
-        # its positions then lag the balls' by the balls skipped so far;
-        # each jump is noted and the fresh positions are corrected after.
-        fresh: list[int] = []  # enumerate's positions of the fresh candidates
-        jumps: list[tuple[int, int]] = []  # (position, balls skipped after it)
-        skipped, walk_lead = 0, _WALK_LEAD
+        # A counter loop starts every segment at ``pos``.  A segment whose
+        # lead falls to zero after ``up`` joins holds 2 * up + 2 balls.  Once
+        # its lead reaches _WALK_LEAD, _segment_end finishes the segment with
+        # arrays and the list iterator jumps past it.
+        fresh: list[int] = []  # the positions of the fresh candidates
+        pos, walk_lead = 0, _WALK_LEAD
         values = iter(colors.tolist())
-        steps = enumerate(values)
-        for start, color in steps:
-            fresh.append(start)
-            lead = 1
-            for i, c in steps:
+        for color in values:
+            fresh.append(pos)
+            lead, up = 1, 0
+            for c in values:
                 if c == color:
                     lead += 1
+                    up += 1
                     if lead == walk_lead:
-                        resume = _segment_end(colors, color, i + skipped + 1, lead)
-                        values.__setstate__(resume)
-                        skipped = resume - i - 1
-                        jumps.append((i, skipped))
+                        # Behind it: the candidate, up joins, up + 1 - lead cancels.
+                        pos = _segment_end(colors, color, pos + 2 * up + 2 - lead, lead)
+                        values.__setstate__(pos)
                         break
                 else:
                     lead -= 1
                     if not lead:
+                        pos += 2 * up + 2
                         break
-        fresh.append(m - skipped)  # the end, numbered as enumerate would
+        fresh.append(m)
         bounds = np.array(fresh)
-        if jumps:
-            at, shift = np.array(jumps).T
-            bounds += np.concatenate(([0], shift))[np.searchsorted(at, bounds)]
         starts = bounds[:-1]
         lengths = bounds[1:] - starts
         joined = colors[starts].repeat(lengths) == colors
@@ -676,7 +671,7 @@ def generate(spec: DistributionSpec | str, n: int, rng: RandomStream) -> Instanc
         ids = np.arange(1, n + 1, dtype=np.int64)
     elif spec.kind == "binary":
         draws = rng.numpy_child().random(n)
-        ids = np.where(draws < spec.p, 1, 2).astype(np.int64, copy=False)
+        ids = np.subtract(2, draws < spec.p, dtype=np.int64)  # 1 below p, else 2
     elif spec.kind == "uniform":
         k = spec.k if spec.k is not None else max(n, 1)
         ids = rng.numpy_child().integers(1, k + 1, size=n, dtype=np.int64)

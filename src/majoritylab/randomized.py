@@ -1,17 +1,21 @@
 """Randomized exact majority finding with certified answers.
 
-Every level above the cutoff shuffles its balls into disjoint pairs and
-chooses between two strategies from a sample of that pairing.  The sample
-is the first k = min(m//2, 2*isqrt(m)) pairs: an equal pair of colour i
-turns up with probability q_i^2, so censusing the equal survivors of the
-sample estimates the top colour's frequency q1 and its share f of the
-squared frequencies.  A level whose top colour is heavy (its estimated q1
-reaches ``beta_interval()[0]`` and f >= 4/5) runs a direct census on it;
-every other level finishes the pairing step: keep one survivor of each
-equal pair, recurse on the survivors, then settle the level.  A
-no-majority verdict below is lifted through the pairs; a survivor majority
-is checked against the unequal pairs with a deficit count that stops as
-soon as the candidate can no longer reach a majority.
+Every level above the cutoff (64 balls by default) shuffles its balls into
+disjoint pairs and chooses between two strategies from a sample of that
+pairing.  The sample is the first k = min(m//2, 2*isqrt(m)) pairs: an
+equal pair of colour i turns up with probability q_i^2, so censusing the
+equal survivors of the sample estimates the top colour's frequency q1 and
+its share f of the squared frequencies.  The census runs in doubling
+batches of survivors, from 64, and stops as soon as the share it has seen
+rules out f >= 4/5 for every class, so a fair-coin level of more than
+about 4096 balls pays 63 comparisons for it instead of about sqrt(m).  A
+level whose top colour is heavy (its estimated q1 reaches
+``beta_interval()[0]`` and f >= 4/5) runs a direct census on it; every
+other level finishes the pairing step: keep one survivor of each equal
+pair, recurse on the survivors, then settle the level.  A no-majority
+verdict below is lifted through the pairs; a survivor majority is checked
+against the unequal pairs with a deficit count that stops as soon as the
+candidate can no longer reach a majority.
 
 The share test keeps fair coins on the pairing step.  On two colours
 f >= 4/5 needs q1 >= 2/3, so the censused class is the majority; a census
@@ -67,10 +71,12 @@ class Params:
     """The two values the driver reads.
 
     cutoff     - at or below this size a level hands off to boyer_moore.
+                 On fair coins the base levels cost about 0.001n at
+                 n = 2^16 with the default 64, against 0.016n at 1024.
     cap_factor - hard comparison cap, cap_factor * n per run.
     """
 
-    cutoff: int = 1024
+    cutoff: int = 64
     cap_factor: int = 8
 
     def __post_init__(self) -> None:
@@ -92,6 +98,13 @@ _SAMPLE_ROOTS = 2
 # times those of every other class together: f >= 4/5, q1^2 >= 4 sum_{j>1} q_j^2.
 _DOMINANCE = 4
 
+# The survivor census covers this many survivors with its first batch and
+# doubles the survivors covered with each next one, so a sample of at most
+# this many survivors is censused whole.  _MARGIN is the number of standard
+# errors by which _no_class_dominant wants the top share clear of 1/5, 4/5.
+_FIRST_BATCH = 64
+_MARGIN = 3
+
 # The census threshold on the estimated q1: the low end of the paper's
 # admissible interval, below which pairing is the cheaper strategy.
 _BETA = beta_interval()[0]
@@ -112,10 +125,14 @@ class LevelStats:
     terminal boyer_moore rerun.
 
     The sample fields describe a level above the cutoff that ``majority``
-    reached: ``sample_pairs`` is k, ``sample_hits`` the equal sampled pairs
-    of the largest class censused, ``q1_estimate`` is sqrt(hits / k) and
-    ``top_share`` is hits over all equal sampled pairs (0 when there are
-    none).  ``leftover_exit`` names how an odd level whose even part had no
+    reached.  ``sample_pairs`` is k, and the s equal sampled pairs each
+    leave one survivor.  ``sample_censused`` is how many of the survivors
+    the census covered: all s, or fewer when it stopped early.  Among those
+    survivors, ``sample_hits`` is the size of the largest class censused
+    and ``top_share`` is hits / censused.  ``q1_estimate`` scales that share
+    back to the k pairs: sqrt(top_share * s / k), which is sqrt(hits / k)
+    after a full census.  These four are 0 when no sampled pair is equal.
+    ``leftover_exit`` names how an odd level whose even part had no
     majority was settled: "triangle", "class" (the leftover's class won) or
     "candidate" (the inherited candidate's certificate).
     """
@@ -130,6 +147,7 @@ class LevelStats:
     x_size: int = 0
     y_pairs: int = 0
     sample_pairs: int = 0
+    sample_censused: int = 0
     sample_hits: int = 0
     q1_estimate: float = 0.0
     top_share: float = 0.0
@@ -177,16 +195,32 @@ class _Run:
         return self._np_gen.permutation(balls)
 
 
+def _no_class_dominant(hits: int, censused: int) -> bool:
+    """Whether a top class of ``hits`` among ``censused`` survivors rules out dominance.
+
+    True when its share lies inside (1/5, 4/5) by _MARGIN standard errors,
+    taken at the interval's ends: then it is not dominant, and the
+    survivors outside it are too few for another class to be.
+    """
+    low = 1 / (1 + _DOMINANCE)
+    slack = 0.5 - low - _MARGIN * math.sqrt(low * (1 - low) / censused)
+    return abs(hits / censused - 0.5) < slack
+
+
 def _sample(
     oracle: CountingOracle, lv: LevelStats, pairs: np.ndarray
 ) -> tuple[np.ndarray, int | None]:
     """Compare the level's first k pairs and pick a census candidate, if any.
 
     The first survivor of an equal sampled pair is censused against the
-    other survivors.  When the survivors outside its class could still hold
-    a dominant class, the first of them is censused among them too.  The
-    largest class found is the estimate of the top colour; the level goes to
-    the census on it when it is dominant and its q1 estimate reaches beta.
+    other survivors in batches: the first covers _FIRST_BATCH survivors and
+    each next one doubles the survivors covered.  The census stops early,
+    and the level pairs, once its class's share rules out a dominant class.
+    After a full census, when the survivors outside its class could still
+    hold a dominant class, the first of them is censused among them too.
+    The largest class found is the estimate of the top colour; the level
+    goes to the census on it when it is dominant and its q1 estimate
+    reaches beta.
 
     Returns the equal flags of the k pairs and the candidate, or None.  The
     survivor census is billed to the sample, and so are the k pairs when the
@@ -198,20 +232,27 @@ def _sample(
     paired = oracle.comparisons - start
     survivors = pairs[:k, 1][equal]
     s = len(survivors)
-    top, hits = None, 0
+    top, hits, censused = None, 0, 0
     if s:
         top = int(survivors[0])
-        same = oracle.cmp_many(top, survivors[1:])
-        hits = 1 + int(np.count_nonzero(same))
-        if s - hits >= _DOMINANCE * hits:
-            others = survivors[1:][~same]
+        same = np.ones(s, dtype=bool)
+        hits = censused = 1
+        while censused < s and not _no_class_dominant(hits, censused):
+            hi = min(s, max(_FIRST_BATCH, 2 * censused))
+            same[censused:hi] = oracle.cmp_many(top, survivors[censused:hi])
+            hits += int(np.count_nonzero(same[censused:hi]))
+            censused = hi
+        # Reached only after a full census: an early stop leaves the share above 1/5.
+        if censused - hits >= _DOMINANCE * hits:
+            others = survivors[~same]
             found = 1 + int(np.count_nonzero(oracle.cmp_many(int(others[0]), others[1:])))
             if found > hits:
                 top, hits = int(others[0]), found
-    lv.sample_pairs, lv.sample_hits = k, hits
-    lv.q1_estimate = math.sqrt(hits / k)
-    lv.top_share = hits / s if s else 0.0
-    if hits < _DOMINANCE * (s - hits) or lv.q1_estimate < _BETA:
+    lv.sample_pairs, lv.sample_censused, lv.sample_hits = k, censused, hits
+    lv.q1_estimate = math.sqrt(hits * s / (censused * k)) if s else 0.0
+    lv.top_share = hits / censused if s else 0.0
+    # An early stop leaves the share below 4/5, so it never picks a candidate.
+    if hits < _DOMINANCE * (censused - hits) or lv.q1_estimate < _BETA:
         top = None
     lv.sample_comparisons = oracle.comparisons - start - (paired if top is None else 0)
     lv.pairing_comparisons = paired if top is None else 0

@@ -14,13 +14,15 @@ from majoritylab import CountingOracle, Params, RandomStream, generate, majority
 from majoritylab.bench import ExperimentConfig, rows_to_csv, run_grid
 
 # (spec, n, seed, comparisons, kind, multiplicity, branch trace)
+# On the n = 8192 rows of binary:p=0.5 and profile:0.5,0.5 the root samples
+# more than 64 survivors, and its census stops after the first batch.
 GOLDEN = (
     ("binary:p=0.5", 2048, 0, 2448, "majority", 1090, "balanced>balanced>heavy"),
     ("binary:p=0.5", 2048, 1, 2479, "majority", 1058, "balanced>balanced>heavy"),
     ("binary:p=0.5", 2048, 2, 2485, "majority", 1059, "balanced>balanced>balanced>base"),
-    ("binary:p=0.5", 8192, 0, 9712, "majority", 4151, "balanced>balanced>balanced>balanced>base"),
-    ("binary:p=0.5", 8192, 1, 9770, "majority", 4164, "balanced>balanced>balanced>heavy"),
-    ("binary:p=0.5", 8192, 2, 9813, "majority", 4145, "balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.5", 8192, 0, 9687, "majority", 4151, "balanced>balanced>balanced>balanced>base"),
+    ("binary:p=0.5", 8192, 1, 9748, "majority", 4164, "balanced>balanced>balanced>heavy"),
+    ("binary:p=0.5", 8192, 2, 9791, "majority", 4145, "balanced>balanced>balanced>balanced>base"),
     ("binary:p=0.9", 2048, 0, 2202, "majority", 1856, "heavy"),
     ("binary:p=0.9", 2048, 1, 2205, "majority", 1828, "heavy"),
     ("binary:p=0.9", 2048, 2, 2211, "majority", 1850, "heavy"),
@@ -42,9 +44,9 @@ GOLDEN = (
     ("profile:0.5,0.5", 2048, 0, 1480, "no_majority", None, "balanced>balanced>balanced>base"),
     ("profile:0.5,0.5", 2048, 1, 1500, "no_majority", None, "balanced>balanced>balanced>base"),
     ("profile:0.5,0.5", 2048, 2, 1446, "no_majority", None, "balanced>balanced>balanced>base"),
-    ("profile:0.5,0.5", 8192, 0, 5625, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
-    ("profile:0.5,0.5", 8192, 1, 5634, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
-    ("profile:0.5,0.5", 8192, 2, 5693, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 8192, 0, 5595, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 8192, 1, 5602, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
+    ("profile:0.5,0.5", 8192, 2, 5663, "no_majority", None, "balanced>balanced>balanced>balanced>base"),
     # Odd n: the leftover walk settles a level whose even part has no
     # majority.  uniform:k=3 leaves it at a rainbow triangle, and on
     # profile:0.5,0.5 the leftover's class wins.  The walk's third exit, the
