@@ -9,7 +9,8 @@ an early-stopping scan over pairs (``scan_until``), or as the comparisons of
 Boyer-Moore's first pass over a list of balls (``vote``), and bills one
 comparison for every answer it hands out.
 The oracle can optionally record a transcript of (x, y, equal) triples,
-which is what the certificate auditing in `certify` consumes.
+which is what the certificate auditing in `certify` consumes; each call
+records one batch of arrays, so the batches keep call order.
 
 The billing rule is that the solver never learns a comparison it is not
 billed for.  ``scan_until`` looks colors up in doubling windows and may
@@ -167,31 +168,21 @@ class ComparisonRecord(NamedTuple):
 class Transcript:
     """The comparisons an oracle answered, in call order, stored as columns.
 
-    Batches are kept as array chunks.  Scalar comparisons accumulate in one
-    flat list of (left, right, equal) triples that becomes a chunk when the
-    next batch arrives or the columns are read, so call order is preserved.
+    Each oracle call adds its records as one chunk of arrays, so the chunks
+    keep call order.  ``columns`` joins them into one chunk when read.
     Iterating yields ComparisonRecords; ``columns`` yields the arrays.
     """
 
-    __slots__ = ("_chunks", "_pending")
+    __slots__ = ("_chunks",)
 
     def __init__(self):
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._pending: list[int] = []
-
-    def _flush(self) -> None:
-        if self._pending:
-            flat = np.array(self._pending, dtype=np.int64).reshape(-1, 3)
-            self._chunks.append((flat[:, 0], flat[:, 1], flat[:, 2].astype(bool)))
-            self._pending = []
 
     def _add_batch(self, left: np.ndarray, right: np.ndarray, equal: np.ndarray) -> None:
-        self._flush()
         self._chunks.append((left, right, equal))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(left, right, equal) over every record: int64, int64, bool."""
-        self._flush()
         if not self._chunks:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros(0, dtype=bool)
@@ -200,7 +191,7 @@ class Transcript:
         return self._chunks[0]
 
     def __len__(self) -> int:
-        return sum(len(chunk[0]) for chunk in self._chunks) + len(self._pending) // 3
+        return sum(len(chunk[0]) for chunk in self._chunks)
 
     def __iter__(self) -> Iterator[ComparisonRecord]:
         left, right, equal = self.columns()
@@ -252,11 +243,11 @@ class CountingOracle:
     The primitives are ``cmp`` (one pair), ``cmp_many`` (a batch of pairs),
     ``scan_until`` (pairs in order up to the k-th event) and ``vote``
     (Boyer-Moore's first pass, which reports the balls that joined the
-    candidate and leaves the cancelled pairs to the caller).  Only ``cmp``
-    records through the transcript's pending list; the others record one
-    batch per call.  The array primitives gather colours in place, into
-    the index arrays their range checks make (``scan_until`` one window
-    at a time), and reject balls that are not integers with ValueError.
+    candidate and leaves the cancelled pairs to the caller).  Each call
+    records one batch, ``cmp`` a batch of one row.  The array primitives
+    gather colours in place, into the index arrays their range checks make
+    (``scan_until`` one window at a time), and reject balls that are not
+    integers with ValueError.
     """
 
     __slots__ = ("instance", "_ids", "_colors", "_n", "comparisons", "_transcript")
@@ -327,7 +318,8 @@ class CountingOracle:
         self.comparisons += 1
         equal = self._colors[x - 1] == self._colors[y - 1]
         if self._transcript is not None:
-            self._transcript._pending.extend((x, y, equal))
+            pair = np.array((x, y), dtype=np.int64)
+            self._transcript._add_batch(pair[:1], pair[1:], np.array((equal,)))
         return equal
 
     def cmp_many(self, xs: int | np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -371,6 +363,15 @@ class CountingOracle:
         its order.  A bad index raises IndexError; balls that are not
         integers, mismatched columns or k < 1 raise ValueError; all before
         anything is billed or recorded.
+        """
+        return self._scan(v, firsts, seconds, k)[0]
+
+    def _scan(
+        self, v: int | None, firsts: np.ndarray, seconds: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``scan_until``, also returning whether v missed firsts[i] for each pair walked.
+
+        Without a ball ``v`` these misses are the events.
         """
         firsts = self._balls("scan_until", firsts)
         seconds = self._balls("scan_until", seconds)
@@ -417,7 +418,7 @@ class CountingOracle:
             if self._transcript is not None:
                 left, right = firsts[:walked].copy(), seconds[:walked].copy()
                 self._transcript._add_batch(left, right, ~events)
-            return events
+            return events, events
         miss = np.concatenate(misses)[:walked]
         asked = walked + int(np.count_nonzero(miss))
         self.comparisons += asked
@@ -428,7 +429,7 @@ class CountingOracle:
             right = np.column_stack((firsts[:walked], seconds[:walked])).ravel().take(slots)
             equal = np.column_stack((~miss, ~events)).ravel().take(slots)
             self._transcript._add_batch(np.full(asked, v, dtype=np.int64), right, equal)
-        return events
+        return events, miss
 
     def vote(self, balls: np.ndarray) -> tuple[int, np.ndarray]:
         """Boyer-Moore's first pass over the balls, in their order.

@@ -34,9 +34,10 @@ shuffled balls viewed as ``(m//2, 2)``, split into the equal and the
 unequal rows by one row gather each.  The unequal rows are the pairs the
 deficit scan walks and the certificate holds, with no restacking.  The
 sampled pairs, the rest of the pairing and each census are one
-``CountingOracle.cmp_many`` batch each.  The deficit scan and heavy's pair
-scan are one ``CountingOracle.scan_until`` call each, which bills exactly
-the comparisons of the pair-by-pair scan and stops where it stops.
+``CountingOracle.cmp_many`` batch each.  The deficit scan, heavy's pair
+scan and an odd level's two leftover walks are one oracle scan each, which
+bills exactly the comparisons of the pair-by-pair scan and stops where it
+stops; only an odd level's leftover probes compare one pair at a time.
 
 Every path is Las Vegas: answers are always exact, randomness moves only
 the comparison count.  No-majority answers carry a certificate that an
@@ -292,70 +293,64 @@ def _resolve_leftover(
     """Settle an odd instance whose even part certified no-majority.
 
     The even part caps every class at (m-1)/2, so the only class that can
-    still reach a majority is the leftover's own.  The leftover probes the
-    certificate's pairs (a double miss yields a rainbow triangle) and then
-    its uncovered balls, tracking an upper bound on the class: its members
-    so far plus one slot per unprobed pair or ball.  Both walks stop the
-    moment the bound falls to m//2, where the class can no longer win.  The
-    bound never falls below the class, so once the class passes m//2 both
-    walks run to the end and count it exactly.  ``lv.leftover_exit``
-    records which of the three verdicts settled the level.
+    still reach a majority is the leftover's own.  After probing the
+    candidate, the leftover walks the certificate's pairs (a double miss
+    yields a rainbow triangle) and then its uncovered balls, one oracle
+    scan each, tracking an upper bound on the class: its members so far
+    plus one slot per unprobed pair or ball.  Each walk stops where the
+    bound falls to m//2 and the class can no longer win.  The bound never
+    falls below the class, so once the class passes m//2 both walks run to
+    the end and count it exactly.  ``lv.leftover_exit`` records which of
+    the three verdicts settled the level.
     """
     if cert.triangle is not None:
         raise ContractViolation("leftover resolution expects a triangle-free certificate")
     oracle = run.oracle
     start = oracle.comparisons
     half = m // 2
-    klass = {leftover}
+    pairs, candidate = cert.pairs, cert.candidate
     seen = np.zeros(int(balls.max()) + 1, dtype=bool)
-    seen[cert.pairs] = True
+    seen[pairs] = True
     seen[leftover] = True
-    pairs = cert.pairs.tolist()
-    potential = 1 + len(pairs)
-    if cert.candidate is not None:
-        seen[cert.candidate] = True
-        if oracle.cmp(leftover, cert.candidate):
-            klass.add(cert.candidate)
-            potential += 1
-    uncovered = balls[~seen[balls]].tolist()
-    potential += len(uncovered)
+    joined = False
+    if candidate is not None:
+        seen[candidate] = True
+        joined = oracle.cmp(leftover, candidate)
+    uncovered = balls[~seen[balls]]
+    members = 1 + joined  # the leftover and the candidate, once it joined
+    potential = members + len(pairs) + len(uncovered)
 
-    triangle: tuple[int, int, int] | None = None
-    row = 0  # the pair that the triangle replaces
-    for i, (a, b) in enumerate(pairs):
-        if potential <= half:
-            break
-        if oracle.cmp(leftover, a):
-            klass.add(a)
-        elif oracle.cmp(leftover, b):
-            klass.add(b)
-        else:
-            potential -= 1
-            if triangle is None:
-                triangle, row = (leftover, a, b), i
-    for b in uncovered:
-        if potential <= half:
-            break
-        if oracle.cmp(leftover, b):
-            klass.add(b)
-        else:
-            potential -= 1
+    row = None  # the first double miss: the pair that the triangle replaces
+    if potential > half:
+        events, misses = oracle._scan(leftover, pairs[:, 0], pairs[:, 1], potential - half)
+        walked, double = len(events), int(np.count_nonzero(events))
+        potential -= double
+        members += walked - double
+        if double:
+            row = int(events.argmax())
+        if joined:  # counted once, also where a pair's probe matched it again
+            matched = np.where(misses, pairs[:walked, 1], pairs[:walked, 0])
+            members -= int(np.count_nonzero(matched == candidate))
+    if potential > half:
+        lefts = np.full(len(uncovered), leftover)
+        missed = oracle.scan_until(None, lefts, uncovered, potential - half)
+        members += len(missed) - int(np.count_nonzero(missed))
     lv.leftover_comparisons += oracle.comparisons - start
 
-    if len(klass) > half:
+    if members > half:
         lv.leftover_exit = "class"
-        return Answer.majority(leftover, len(klass)), None
-    if triangle is not None:
+        return Answer.majority(leftover, members), None
+    if row is not None:
         lv.leftover_exit = "triangle"
         return Answer.no_majority(), Certificate(
-            pairs=np.concatenate((cert.pairs[:row], cert.pairs[row + 1 :])),
-            triangle=triangle,
-            candidate=cert.candidate,
+            pairs=np.concatenate((pairs[:row], pairs[row + 1 :])),
+            triangle=(leftover, int(pairs[row, 0]), int(pairs[row, 1])),
+            candidate=candidate,
         )
     # Without a triangle every pair holds one ball of the leftover's class,
     # so its misses among the uncovered balls push a certificate anchored at
     # the leftover past m//2: only the inherited candidate's can stand.
-    if cert.candidate is None:
+    if candidate is None:
         raise ContractViolation("no anchor has slack for the leftover certificate")
     lv.leftover_exit = "candidate"
     return Answer.no_majority(), cert

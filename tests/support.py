@@ -38,7 +38,8 @@ def run_boyer_moore(instance: Instance, audit: bool = True):
 def run_randomized(
     instance: Instance,
     seed: int = 0,
-    cutoff: int = 1024,
+    *,
+    cutoff: int,
     audit: bool = True,
     salt: str = "t",
 ):

@@ -501,6 +501,66 @@ def settle(resolve):
         "candidate": 1,
     }
 )
+# an equal pair: the candidate joins and is the second ball of a walked pair
+# whose first ball matched too, so the pair adds a member and the class is 4
+@example(
+    level={
+        "colors": [1, 1, 1, 1, 1],
+        "balls": [1, 2, 3, 4, 5],
+        "survivors": [1, 2],
+        "mates": [3, 4],
+        "unequal": [],
+        "leftover": 5,
+        "pairs": [(1, 2)],
+        "triangle": None,
+        "candidate": 2,
+    }
+)
+# the next two walks bill the same comparisons and flag no double miss,
+# but the first matches balls 1 and 4, for a class of 4, and the second
+# balls 2 and 3, for a class of 3, with the candidate 2 matched again: the
+# count needs to know which ball of each pair matched
+@example(
+    level={
+        "colors": [1, 1, 2, 1, 1],
+        "balls": [1, 2, 3, 4, 5],
+        "survivors": [1, 2],
+        "mates": [3, 4],
+        "unequal": [],
+        "leftover": 5,
+        "pairs": [(1, 2)],
+        "triangle": None,
+        "candidate": 2,
+    }
+)
+@example(
+    level={
+        "colors": [2, 1, 1, 2, 1],
+        "balls": [1, 2, 3, 4, 5],
+        "survivors": [1, 2],
+        "mates": [3, 4],
+        "unequal": [],
+        "leftover": 5,
+        "pairs": [(1, 2)],
+        "triangle": None,
+        "candidate": 2,
+    }
+)
+# a valid certificate: the candidate joins as the first ball of a walked
+# pair and is counted once, for a majority of 3
+@example(
+    level={
+        "colors": [1, 2, 1, 2, 1],
+        "balls": [1, 2, 3, 4, 5],
+        "survivors": [1, 2],
+        "mates": [3, 4],
+        "unequal": [],
+        "leftover": 5,
+        "pairs": [(1, 2)],
+        "triangle": None,
+        "candidate": 1,
+    }
+)
 def test_array_lift_matches_tuple_lift(level):
     # The lift keeps the tuple lift's pair order, and the leftover probe,
     # which walks the pairs in that order, bills and records the same
