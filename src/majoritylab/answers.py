@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _integer, _require_integers
+
 __all__ = ["Answer", "Certificate", "ContractViolation"]
 
 
@@ -22,12 +24,17 @@ class Answer:
 
     kind is "majority" or "no_majority".  A majority answer names a witness
     ball and the exact count of its color in the multiset the algorithm was
-    asked about.
+    asked about.  A witness or multiplicity that is not an integer raises ValueError.
     """
 
     kind: str
     witness: int | None = None
     multiplicity: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("witness", "multiplicity"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(getattr(self, name), f"answer {name}"))
 
     @staticmethod
     def majority(witness: int, multiplicity: int) -> "Answer":
@@ -55,12 +62,13 @@ class Certificate:
         read-only ``(k, 2)`` int64 array with a pair per row.  Any sequence
         of pairs (or nothing, for no pairs) is accepted and copied into that
         form once, at construction; a read-only int64 array is shared.  A
-        width other than 2, ragged rows or a ball beyond int64 raise
-        ValueError.
-    triangle: optional mutually-unequal triple; only needed when n is odd,
-        where one triangle replaces one pair in a full cover.
-    candidate: optional ball whose color class carries the counting argument
-        for certificates that do not cover every ball with pairs.
+        width other than 2, ragged rows, or a ball that is not an integer
+        (a float or a bool) or is beyond int64 raise ValueError.
+    triangle: optional mutually-unequal triple of integers, kept as a tuple
+        of ints; only needed when n is odd, where one triangle replaces one
+        pair in a full cover.  The auditor checks its length.
+    candidate: optional integer ball whose color class carries the counting
+        argument for certificates that do not cover every ball with pairs.
 
     Majority verdicts need no separate structure: the checker validates them
     straight off the transcript (see certify.check_majority_claim).
@@ -77,18 +85,27 @@ class Certificate:
             and pairs.dtype == np.int64
             and not pairs.flags.writeable
         ):
+            if not isinstance(pairs, np.ndarray) or pairs.dtype.kind == "u":
+                # As objects, every ball keeps its own value for the checks.
+                pairs = np.array(pairs, dtype=object)
+            _require_integers(pairs, "certificate balls")
             try:
                 pairs = np.array(pairs, dtype=np.int64, order="C")
             except OverflowError as exc:
                 raise ValueError(f"a certificate ball is beyond int64: {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"certificate pairs are not a (k, 2) table: {exc}") from None
             if pairs.shape == (0,):
                 pairs = pairs.reshape(0, 2)
             pairs.flags.writeable = False
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"certificate pairs must have shape (k, 2), got {pairs.shape}")
         object.__setattr__(self, "pairs", pairs)
+        if self.triangle is not None:
+            if np.ndim(self.triangle) != 1:
+                raise ValueError(f"certificate triangle must be a row, got {self.triangle!r}")
+            _require_integers(self.triangle, "certificate triangle balls")
+            object.__setattr__(self, "triangle", tuple(map(int, self.triangle)))
+        if self.candidate is not None:
+            object.__setattr__(self, "candidate", _integer(self.candidate, "certificate candidate"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Certificate):

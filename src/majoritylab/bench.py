@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .answers import Answer, Certificate
 from .boyer_moore import boyer_moore
 from .certify import answer_matches_brute_force, verify_run
-from .core import CountingOracle, generate, parse_distribution
+from .core import CountingOracle, _integer, generate, parse_distribution
 from .randomized import Params, majority
 from .rng import RandomStream
 
@@ -86,6 +86,10 @@ class ExperimentConfig:
             )
         if not self.sizes:
             raise ValueError("at least one size is required")
+        # Ints, so that a float or a bool fails here and not in every trial.
+        object.__setattr__(self, "sizes", tuple(_integer(n, "a size") for n in self.sizes))
+        for name in ("trials", "jobs"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive")
         if self.trials < 1:
@@ -95,8 +99,8 @@ class ExperimentConfig:
         cpus = usable_cpus()
         if not 1 <= self.jobs <= cpus:
             raise ValueError(f"jobs must be between 1 and {cpus}, got {self.jobs}")
-        if self.cutoff is not None and self.cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
+        if self.cutoff is not None:
+            object.__setattr__(self, "cutoff", Params(cutoff=self.cutoff).cutoff)
         parse_distribution(self.distribution)  # raises on a bad spec
 
 

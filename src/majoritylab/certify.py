@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .answers import Answer, Certificate
-from .core import ComparisonRecord, Instance, Transcript
+from .core import ComparisonRecord, Instance, Transcript, _integer
 
 __all__ = [
     "InconsistentTranscript",
@@ -138,12 +138,14 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
     conflict: if any unequal record ends up inside one class, the
     transcript is contradictory and we raise.
 
-    Raises ValueError, before anything is read or allocated, when n is too
-    large for the keys: they and the closing key of the no-majority check
-    reach (n + 1) ** 2, which must stay below 2**63.
+    Raises ValueError, before anything is read or allocated, when n is not
+    an integer (a bool is not one), is negative, or is too large for the
+    keys: they and the closing key of the no-majority check reach
+    (n + 1) ** 2, which must stay below 2**63.
     """
-    if n > _MAX_N:
-        raise ValueError(f"n={n} is too large for int64 conflict keys: at most {_MAX_N}")
+    n = _integer(n, "n")
+    if not 0 <= n <= _MAX_N:
+        raise ValueError(f"n must lie in 0..{_MAX_N}, where conflict keys fit int64, got {n}")
     left, right, equal = _columns(transcript)
     if len(left) and (min(left.min(), right.min()) < 1 or max(left.max(), right.max()) > n):
         outside = (left < 1) | (left > n) | (right < 1) | (right > n)

@@ -21,12 +21,13 @@ finishes a segment whose lead grows long with array windows, bills every
 comparison of the pass, one per ball that does not become a fresh
 candidate, and records them as one batch.
 
-The primitives take balls as integers, or integer arrays or sequences;
-anything else, bools and floats included, raises ValueError before
-anything is billed.  Each range-checks a ball array once, into a fresh
-array of 0-based indices, and looks the colors up in place in that array,
-so a lookup allocates nothing more and the caller's arrays are only read.
-The transcript keeps copies of the balls, since callers may reuse theirs.
+The primitives check balls in one place, ``_ball`` for one ball and
+``_indices`` for an array or sequence: a value that is not an integer,
+bools and floats included, raises ValueError and a ball outside 1..n
+IndexError naming it, before anything is billed.  ``_indices`` range-checks
+once, into a fresh array of 0-based indices that the primitive gathers the
+colors into in place, so the caller's arrays are only read.  The
+transcript keeps copies of the balls, since callers may reuse theirs.
 """
 
 from __future__ import annotations
@@ -244,10 +245,8 @@ class CountingOracle:
     ``scan_until`` (pairs in order up to the k-th event) and ``vote``
     (Boyer-Moore's first pass, which reports the balls that joined the
     candidate and leaves the cancelled pairs to the caller).  Each call
-    records one batch, ``cmp`` a batch of one row.  The array primitives
-    gather colours in place, into the index arrays their range checks make
-    (``scan_until`` one window at a time), and reject balls that are not
-    integers with ValueError.
+    records one batch, ``cmp`` a batch of one row.  Each checks its balls
+    through ``_ball`` or ``_indices`` before it bills anything.
     """
 
     __slots__ = ("instance", "_ids", "_colors", "_n", "comparisons", "_transcript")
@@ -260,61 +259,47 @@ class CountingOracle:
         self.comparisons = 0
         self._transcript: Transcript | None = Transcript() if record_transcript else None
 
-    def _balls(self, op: str, balls) -> np.ndarray:
-        """The balls as a one-dimensional integer array.
+    def _ball(self, op: str, x) -> int:
+        """One ball as a Python int: ValueError unless an integer (bools are
+        not), IndexError naming it unless in 1..n.  A Python int skips the
+        type check, so scalar ``cmp`` stays cheap."""
+        if type(x) is not int:
+            x = _integer(x, f"{op}: a ball")
+        if not 1 <= x <= self._n:
+            raise IndexError(f"ball index out of range: {op} got {x} with n={self._n}")
+        return x
 
-        An array of an integer dtype is taken as it is, so a uint64 ball
-        keeps its own value; a sequence is checked value by value and made
-        an int64 array.  Raises ValueError for anything else, bools
-        included.
-        """
-        _require_integers(balls, f"{op} balls")
-        if not isinstance(balls, np.ndarray):
-            try:
-                balls = np.array(balls, dtype=np.int64)
-            except OverflowError:
-                bad = next(b for b in balls if not 1 <= b <= self._n)
-                raise IndexError(self._outside(op, bad)) from None
-        if balls.ndim != 1:
-            raise ValueError(f"{op}: balls must be one-dimensional, got shape {balls.shape}")
-        return balls
+    def _indices(self, op: str, balls) -> tuple[np.ndarray, np.ndarray]:
+        """The balls as an int64 array, and a fresh int64 array of their 0-based indices.
 
-    def _outside(self, op: str, ball: int) -> str:
-        return f"ball index out of range: {op} got {ball} with n={self._n}"
-
-    def _index(self, op: str, balls):
-        """A fresh int64 array ``balls - 1`` for an integer array of balls,
-        or ``ball - 1`` for one ball.
-
-        Raises IndexError naming the first ball outside 1..n by its own
-        value.  Shifted to 0-based and viewed as unsigned, an index below 1
-        wraps past n, so one max checks both ends of the range.  The array
-        is the caller's to gather colours into, in place.
+        Balls that are not integers or not one-dimensional raise ValueError,
+        and IndexError names the first ball outside 1..n by its own value,
+        even one beyond int64.  An int64 array is not copied.  Viewed as
+        unsigned, an index below 0 wraps past n, so one max checks both ends.
         """
         n = self._n
-        if isinstance(balls, np.ndarray):
-            idx = np.subtract(balls, 1, dtype=np.int64, casting="unsafe")
+        _require_integers(balls, f"{op}: balls")
+        try:
+            array = np.asarray(balls, dtype=np.int64)  # a uint64 ball past int64 wraps below 1
+        except OverflowError:  # a ball beyond int64, in a list or an object array
+            array = np.asarray(balls, dtype=object)
+        if array.ndim != 1:
+            raise ValueError(f"{op}: balls must be one-dimensional, got shape {array.shape}")
+        if array.dtype == np.int64:
+            idx = np.subtract(array, 1)
             if not len(idx) or np.maximum.reduce(idx.view(np.uint64)) < n:
-                return idx
-            balls = next(b for b in balls.tolist() if not 1 <= b <= n)
-        else:
-            balls = _integer(balls, f"{op}: a ball")
-            if 1 <= balls <= n:
-                return balls - 1
-        raise IndexError(self._outside(op, balls))
+                return array, idx
+        values = balls.tolist() if isinstance(balls, np.ndarray) else balls
+        bad = next(b for b in values if not 1 <= b <= n)
+        raise IndexError(f"ball index out of range: {op} got {bad} with n={n}")
 
     def cmp(self, x: int, y: int) -> bool:
         """Compare balls x and y: bills one comparison and returns True if equal.
 
-        Balls that are not integers, bools and floats included, raise
-        ValueError and a bad index raises IndexError, before anything is
-        billed or recorded.  Python ints take the fast path; numpy integers
-        are made ints first.
+        A ball that is not an integer raises ValueError and a bad index
+        IndexError, before anything is billed or recorded.
         """
-        if type(x) is not int or type(y) is not int:
-            x, y = _integer(x, "cmp: a ball"), _integer(y, "cmp: a ball")
-        if not (1 <= x <= self._n and 1 <= y <= self._n):
-            raise IndexError(f"ball index out of range: cmp({x}, {y}) with n={self._n}")
+        x, y = self._ball("cmp", x), self._ball("cmp", y)
         self.comparisons += 1
         equal = self._colors[x - 1] == self._colors[y - 1]
         if self._transcript is not None:
@@ -326,27 +311,27 @@ class CountingOracle:
         """Compare xs[i] with ys[i] for every i; xs may be a single ball.
 
         Bills len(ys) comparisons and returns the answers as a bool array.
-        The whole batch is checked first: balls that are not integers raise
-        ValueError and a bad index raises IndexError, before anything is
-        billed or recorded.  The colours are gathered into the index arrays
-        that the range check makes, so the callers' arrays are only read.
+        The whole batch is checked first, as in ``cmp``, and the colours are
+        gathered into the index arrays the check makes.
         """
-        ys = self._balls("cmp_many", ys)
+        ys, iy = self._indices("cmp_many", ys)
+        ids = self._ids
         single = not isinstance(xs, (np.ndarray, list, tuple))
-        if not single:
-            xs = self._balls("cmp_many", xs)
+        if single:
+            xs = self._ball("cmp_many", xs)
+            color = ids[xs - 1]
+        else:
+            xs, ix = self._indices("cmp_many", xs)
             if xs.shape != ys.shape:
                 raise ValueError(f"cmp_many: {xs.shape} left balls against {ys.shape} right")
-        ix, iy = self._index("cmp_many", xs), self._index("cmp_many", ys)
-        ids = self._ids
-        # In place: "clip" skips the copy of the output that "raise" makes,
-        # and every index is already in range.
-        color = ids[ix] if single else ids.take(ix, out=ix, mode="clip")
+            # In place: "clip" skips the copy of the output that "raise" makes,
+            # and every index is already in range.
+            color = ids.take(ix, out=ix, mode="clip")
         equal = ids.take(iy, out=iy, mode="clip") == color
         self.comparisons += len(ys)
         if self._transcript is not None:
-            left = np.full(len(ys), xs, dtype=np.int64) if single else np.array(xs, np.int64)
-            self._transcript._add_batch(left, np.array(ys, np.int64), equal)
+            left = np.full(len(ys), xs, dtype=np.int64) if single else xs.copy()
+            self._transcript._add_batch(left, ys.copy(), equal)
         return equal
 
     def scan_until(
@@ -360,9 +345,8 @@ class CountingOracle:
         with seconds[i]; its event is two misses.  Returns the event flags
         of the pairs walked: up to and including the k-th event, or all of
         them.  Bills and records exactly the comparisons of that loop, in
-        its order.  A bad index raises IndexError; balls that are not
-        integers, mismatched columns or k < 1 raise ValueError; all before
-        anything is billed or recorded.
+        its order.  Balls are checked as in ``cmp``; mismatched columns or a
+        k that is not an integer of at least 1 raise ValueError.
         """
         return self._scan(v, firsts, seconds, k)[0]
 
@@ -373,18 +357,17 @@ class CountingOracle:
 
         Without a ball ``v`` these misses are the events.
         """
-        firsts = self._balls("scan_until", firsts)
-        seconds = self._balls("scan_until", seconds)
+        firsts, ix = self._indices("scan_until", firsts)
+        seconds, iy = self._indices("scan_until", seconds)
         if firsts.shape != seconds.shape:
             raise ValueError(f"scan_until: {firsts.shape} first balls against {seconds.shape}")
+        k = _integer(k, "scan_until: k")
         if k < 1:
             raise ValueError(f"scan_until: k must be at least 1, got {k}")
-        ids = self._ids
-        ix, iy = self._index("scan_until", firsts), self._index("scan_until", seconds)
-        color = None if v is None else ids[self._index("scan_until", v)]
-        # In range, so exact as int64; the transcript copies from these.
-        firsts = firsts.astype(np.int64, copy=False)
-        seconds = seconds.astype(np.int64, copy=False)
+        ids, color = self._ids, None
+        if v is not None:
+            v = self._ball("scan_until", v)
+            color = ids[v - 1]
         # Colors are looked up in windows that double in length, never twice
         # for one pair, until the k-th event is inside one.  The k-th event
         # is at pair k or later, and a lookup costs less than a numpy call,
@@ -451,12 +434,10 @@ class CountingOracle:
         counter loop alone; a long lead, as on fair coins, costs numpy steps
         instead of Python ones.
         """
-        balls = self._balls("vote", balls)
+        balls, idx = self._indices("vote", balls)
         m = len(balls)
         if not m:
             raise ValueError("vote: needs at least one ball")
-        idx = self._index("vote", balls)
-        balls = balls.astype(np.int64, copy=False)  # in range, so exact
         # In place, as in cmp_many.
         colors = self._ids.take(idx, out=idx, mode="clip")
         # A counter loop starts every segment at ``pos``.  A segment whose
@@ -499,28 +480,20 @@ class CountingOracle:
         return int(balls[starts[-1]]), joined
 
     def distinct_balls(self, balls: Iterable[int]) -> np.ndarray:
-        """The given balls as an int64 array, in their order.
+        """The given balls as an int64 array, in their order; an int64 array is not copied.
 
         Raises ValueError, before anything is billed, when the balls are not
         a one-dimensional list of integers, or when a ball lies outside 1..n
-        or appears twice.  One sort finds the last two: its ends give the
-        range, and a repeat sits next to its twin.
+        or appears twice.  The balls are checked as the primitives check
+        theirs, and one sort of their indices puts a repeat next to its twin.
         """
         balls = balls if isinstance(balls, np.ndarray) else list(balls)
-        _require_integers(balls, "balls")
         try:
-            given = np.array(balls, np.int64)
-        except OverflowError:
-            raise ValueError(f"balls must lie in 1..{self._n}: one exceeds int64") from None
-        if given.ndim != 1:
-            raise ValueError(f"balls must be one-dimensional, got shape {given.shape}")
-        ordered = np.sort(given)
-        if len(ordered) and not (1 <= ordered[0] and ordered[-1] <= self._n):
-            # Named from the balls as given: a uint64 ball past int64 wraps in ``given``.
-            values = balls.tolist() if isinstance(balls, np.ndarray) else balls
-            bad = next(b for b in values if not 1 <= b <= self._n)
-            raise ValueError(f"balls must lie in 1..{self._n}, got {bad}")
-        if np.count_nonzero(ordered[1:] == ordered[:-1]):
+            given, idx = self._indices("distinct_balls", balls)
+        except IndexError as exc:
+            raise ValueError(f"balls must lie in 1..{self._n}: {exc}") from None
+        idx.sort()
+        if np.count_nonzero(idx[1:] == idx[:-1]):
             raise ValueError("balls must be distinct")
         return given
 

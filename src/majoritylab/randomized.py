@@ -623,8 +623,10 @@ def heavy(
     """Census the given candidate unconditionally at the top level.
 
     The balls are shuffled once, so the pair scan of the census leftovers
-    meets them in random order.
+    meets them in random order.  A candidate that is not an integer, or not
+    one of the balls, raises ValueError before any comparison.
     """
+    candidate = _integer(candidate, "heavy candidate")
 
     def census(run: _Run, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
         lv = LevelStats("heavy", len(balls))

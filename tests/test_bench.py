@@ -50,6 +50,18 @@ def test_config_validation():
         small_config(cutoff=1)
     with pytest.raises(ValueError):
         small_config(distribution="bogus:spec")
+    # Each of these used to build a config on which every trial raised.
+    for bad in (
+        dict(cutoff=2.5),
+        dict(cutoff=True),
+        dict(sizes=(2.5,)),
+        dict(sizes=(True,)),
+        dict(sizes=("64",)),
+        dict(trials=2.5),
+        dict(jobs=1.0),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            small_config(**bad)
 
 
 def strip_timing(row: TrialRow):

@@ -319,6 +319,54 @@ def test_no_majority_rejects_a_ball_beyond_int64():
         Certificate(pairs=((1, 2), (3, 2**70)))
 
 
+def test_certificate_rejects_balls_that_are_not_integers():
+    # Truncated, this certificate reads as pairs (4, 5) and triangle (1, 2, 3),
+    # which this transcript proves: it never compared ball 4.9 or 1.5.
+    transcript = [rec(4, 5, False), rec(1, 2, False), rec(1, 3, False), rec(2, 3, False)]
+    truncated = Certificate(pairs=[[4, 5]], triangle=(1, 2, 3))
+    assert verify_run(5, transcript, Answer.no_majority(), truncated).accepted
+    for fields in (
+        dict(pairs=[[4.9, 5]], triangle=(1.5, 2, 3)),
+        dict(pairs=[[4.9, 5]], triangle=(1, 2, 3)),
+        dict(pairs=[[4, 5]], triangle=(1.5, 2, 3)),
+        dict(pairs=[[4, 5.0]]),
+        dict(pairs=np.array([[4.0, 5.0]])),
+        dict(pairs=[[True, False]]),
+        dict(pairs=[["4", 5]]),
+        dict(triangle=(1, 2, True)),
+        dict(triangle=3),
+        dict(candidate=1.0),
+        dict(candidate=True),
+        dict(candidate="1"),
+    ):
+        with pytest.raises(ValueError, match="integer|row"):
+            Certificate(**fields)
+    # Numpy integers are made ints, and a read-only int64 table is still shared.
+    cert = Certificate(truncated.pairs, (np.int64(1), np.uint64(2), 3), np.int32(4))
+    assert cert.pairs is truncated.pairs
+    assert cert.triangle == (1, 2, 3) and type(cert.triangle[1]) is int
+    assert type(cert.candidate) is int
+
+
+@pytest.mark.parametrize(
+    "witness, multiplicity",
+    [(1.5, 3), (True, 3), (np.float64(1), 3), ("1", 3), (1, 3.0), (1, True)],
+)
+def test_answer_rejects_a_witness_or_multiplicity_that_is_not_an_integer(witness, multiplicity):
+    # As ball 1, True would pass check_majority_claim; 1.5 crashed it.
+    with pytest.raises(ValueError, match="integer"):
+        Answer.majority(witness, multiplicity)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None, -1])
+def test_build_rejects_n_that_is_not_a_nonnegative_integer(n):
+    # As n = 1, True would audit a transcript of balls 1..1.
+    with pytest.raises(ValueError, match=r"integer|0\.\."):
+        build_eq_structure(n, [rec(1, 2, False)])
+    with pytest.raises(ValueError, match=r"integer|0\.\."):
+        verify_run(n, [rec(1, 2, False)], Answer.no_majority(), Certificate())
+
+
 def test_build_rejects_n_too_large_for_int64_keys():
     # (n + 1) ** 2 must stay below 2**63: n = 3,037,000,498 is the largest.
     with pytest.raises(ValueError, match="int64"):

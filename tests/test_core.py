@@ -6,14 +6,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from majoritylab import (
+    Answer,
+    Certificate,
     ComparisonRecord,
     CountingOracle,
     Instance,
     Params,
     RandomStream,
+    boyer_moore,
     generate,
+    heavy,
     majority,
     parse_distribution,
     read_instance,
@@ -255,6 +261,100 @@ def test_a_uint64_ball_past_int64_is_named_by_its_own_value():
             call()
     with pytest.raises(ValueError, match=f"got {2**64 - 1}"):
         oracle.distinct_balls(big)
+    assert oracle.comparisons == 0
+    assert len(oracle.transcript) == 0
+
+
+# Malformed balls for an instance of three balls, each with the error the
+# oracle raises for it as a ball: a value that is not an integer raises
+# ValueError, an integer outside 1..3 IndexError.
+_MALFORMED = [
+    (3.0, ValueError),
+    (float("nan"), ValueError),
+    (True, ValueError),
+    ("2", ValueError),
+    (None, ValueError),
+    ([[1, 2], [3, 1]], ValueError),
+    (np.array([[1, 2], [3, 1]]), ValueError),
+    (0, IndexError),
+    (4, IndexError),
+    (-1, IndexError),
+    (2**63, IndexError),
+    (2**64 - 1, IndexError),
+    (2**70, IndexError),
+]
+
+# Every comparison among balls 1..3, whose colors all differ.
+_EVERY_PAIR = [ComparisonRecord(x, y, False) for x, y in ((1, 2), (1, 3), (2, 3))]
+
+
+def _audit(**fields):
+    """Build a no-majority certificate for balls 1..3 and audit it against
+    every comparison; a rejection raises ValueError, as a failed build does."""
+    verdict = verify_run(3, _EVERY_PAIR, Answer.no_majority(), Certificate(**fields))
+    if not verdict:
+        raise ValueError(verdict.reason)
+
+
+# Each entry point that takes balls: the kind of argument the malformed value
+# goes into, and a call that passes it.  "ball" and "balls" raise as
+# _MALFORMED says; "given" (the balls a solver is given), "candidate", "k"
+# and "certificate" raise ValueError for anything malformed.
+_ENTRIES = {
+    "cmp-left": ("ball", lambda o, b: o.cmp(b, 1)),
+    "cmp-right": ("ball", lambda o, b: o.cmp(1, b)),
+    "cmp_many-one-ball": ("ball", lambda o, b: o.cmp_many(b, [1, 2])),
+    "cmp_many-left": ("balls", lambda o, b: o.cmp_many(b, [1, 2])),
+    "cmp_many-right": ("balls", lambda o, b: o.cmp_many([1, 2], b)),
+    "cmp_many-right-of-one-ball": ("balls", lambda o, b: o.cmp_many(1, b)),
+    "scan_until-v": ("ball", lambda o, b: o.scan_until(b, [1, 2], [2, 3], 1)),
+    "scan_until-firsts": ("balls", lambda o, b: o.scan_until(None, b, [2, 3], 1)),
+    "scan_until-seconds": ("balls", lambda o, b: o.scan_until(1, [2, 3], b, 1)),
+    "scan_until-k": ("k", lambda o, b: o.scan_until(None, [1, 2], [2, 3], b)),
+    "vote": ("balls", lambda o, b: o.vote(b)),
+    "distinct_balls": ("given", lambda o, b: o.distinct_balls(b)),
+    "majority": ("given", lambda o, b: majority(o, b)),
+    "heavy": ("given", lambda o, b: heavy(o, 1, b)),
+    "boyer_moore": ("given", lambda o, b: boyer_moore(o, b)),
+    "heavy-candidate": ("candidate", lambda o, b: heavy(o, b)),
+    "certificate-pairs": ("certificate", lambda o, b: _audit(pairs=[[2, b]], candidate=1)),
+    "certificate-triangle": ("certificate", lambda o, b: _audit(triangle=(1, 2, b))),
+    "certificate-candidate": ("certificate", lambda o, b: _audit(pairs=[[1, 2]], candidate=b)),
+}
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    entry=st.sampled_from(sorted(_ENTRIES)),
+    malformed=st.sampled_from(_MALFORMED),
+    form=st.sampled_from(["plain", "object", "uint64"]),
+)
+def test_every_entry_point_rejects_a_malformed_ball_before_billing(entry, malformed, form):
+    # One check path: whatever the entry point, a malformed ball raises the
+    # same documented error, and nothing is billed or recorded.  A scalar
+    # slot takes the value as it is or as a numpy uint64; an array slot takes
+    # it beside ball 1 in a list, an object array or a uint64 array, and a
+    # nested list or 2-D array in place of the whole array.
+    kind, call = _ENTRIES[entry]
+    value, error = malformed
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    if form == "uint64":
+        assume(integer and 0 <= value < 2**64)
+    if kind == "k":
+        assume(not integer or value < 1)  # any k >= 1 is a valid bound
+    assume(not (entry == "scan_until-v" and value is None))  # a scan without a ball
+    if kind in ("given", "candidate", "k", "certificate"):
+        error = ValueError
+    if kind in ("balls", "given") and np.ndim(value) != 2:
+        dtype = np.uint64 if form == "uint64" else object
+        value = [1, value] if form == "plain" else np.array([1, value], dtype=dtype)
+    elif form == "uint64":
+        value = np.uint64(value)
+    if kind == "certificate":
+        call(None, 3)  # with ball 3 in its place the certificate passes the audit
+    oracle = CountingOracle(Instance((1, 2, 3)), record_transcript=True)
+    with pytest.raises(error):
+        call(oracle, value)
     assert oracle.comparisons == 0
     assert len(oracle.transcript) == 0
 
