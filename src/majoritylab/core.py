@@ -32,8 +32,10 @@ transcript keeps copies of the balls, since callers may reuse theirs.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,6 +280,8 @@ class CountingOracle:
         unsigned, an index below 0 wraps past n, so one max checks both ends.
         """
         n = self._n
+        if not isinstance(balls, (np.ndarray, Sequence)):  # a scalar, say, or a generator
+            raise ValueError(f"{op}: balls must be one-dimensional, got shape {np.shape(balls)}")
         _require_integers(balls, f"{op}: balls")
         try:
             array = np.asarray(balls, dtype=np.int64)  # a uint64 ball past int64 wraps below 1
@@ -487,7 +491,8 @@ class CountingOracle:
         or appears twice.  The balls are checked as the primitives check
         theirs, and one sort of their indices puts a repeat next to its twin.
         """
-        balls = balls if isinstance(balls, np.ndarray) else list(balls)
+        if isinstance(balls, Iterable) and not isinstance(balls, np.ndarray):
+            balls = list(balls)  # a scalar is left for _indices to reject
         try:
             given, idx = self._indices("distinct_balls", balls)
         except IndexError as exc:
@@ -547,8 +552,18 @@ def parse_distribution(text: str) -> DistributionSpec:
     """Parse the CLI distribution grammar.
 
     binary:p=0.5 | profile:0.48,rest=100 | profile:5,3 | distinct | uniform:k=64
+
+    A malformed spec raises ValueError.  So does a number in it that does
+    not parse, or a profile fraction that is not finite, naming the spec.
     """
     text = text.strip()
+
+    def number(convert, value: str):
+        try:
+            return convert(value)
+        except ValueError:
+            raise ValueError(f"bad number {value.strip()!r} in distribution {text!r}") from None
+
     head, _, body = text.partition(":")
     head = head.strip().lower()
 
@@ -563,7 +578,7 @@ def parse_distribution(text: str) -> DistributionSpec:
             key, _, val = body.partition("=")
             if key.strip() != "p":
                 raise ValueError(f"binary expects p=..., got {body!r}")
-            p = float(val)
+            p = number(float, val)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"binary p must be in [0,1], got {p}")
         return DistributionSpec(kind="binary", p=p)
@@ -577,7 +592,7 @@ def parse_distribution(text: str) -> DistributionSpec:
         val = val.strip()
         if val == "n":
             return DistributionSpec(kind="uniform", k=None)
-        k = int(val)
+        k = number(int, val)
         if k < 1:
             raise ValueError("uniform k must be >= 1")
         return DistributionSpec(kind="uniform", k=k)
@@ -590,7 +605,7 @@ def parse_distribution(text: str) -> DistributionSpec:
         weights: list[str] = []
         for part in parts:
             if part.startswith("rest="):
-                rest = int(part[5:])
+                rest = number(int, part[5:])
                 if rest < 1:
                     raise ValueError("rest must be >= 1")
             else:
@@ -598,13 +613,15 @@ def parse_distribution(text: str) -> DistributionSpec:
         if not weights:
             raise ValueError("profile needs at least one weight")
         if all("." not in w and "e" not in w.lower() for w in weights):
-            counts = tuple(int(w) for w in weights)
+            counts = tuple(number(int, w) for w in weights)
             if rest:
                 raise ValueError("rest= only applies to fractional profiles")
             if any(c < 0 for c in counts):
                 raise ValueError("profile counts must be nonnegative")
             return DistributionSpec(kind="profile", counts=counts)
-        fractions = tuple(float(w) for w in weights)
+        fractions = tuple(number(float, w) for w in weights)
+        if not all(math.isfinite(f) for f in fractions):
+            raise ValueError(f"profile fractions must be finite, got {text!r}")
         if any(f < 0 for f in fractions):
             raise ValueError("profile fractions must be nonnegative")
         total = sum(fractions)

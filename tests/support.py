@@ -66,3 +66,67 @@ def assert_run_ok(instance: Instance, answer, cert, audit_ok) -> None:
     if not answer.is_majority:
         assert isinstance(cert, Certificate), "no-majority answers need a certificate"
     assert audit_ok, f"certificate rejected on {instance.colors}"
+
+
+def claim_is_true(answer: Answer, inst: Instance) -> bool:
+    truth = brute_force_majority(inst)
+    if answer.is_majority:
+        return (
+            truth.is_majority
+            and answer.witness is not None
+            and 1 <= answer.witness <= inst.n
+            and answer.multiplicity == truth.multiplicity
+            and inst.color_of(answer.witness) == inst.color_of(truth.witness)
+        )
+    return not truth.is_majority
+
+
+def mutate(answer: Answer, cert: Certificate | None, inst: Instance, rng: RandomStream):
+    """One structured corruption of a claim; returns (answer, cert)."""
+    n = inst.n
+    if answer.is_majority:
+        kind = ("inflate", "deflate", "rewitness", "flip")[rng.randrange(4)]
+        if kind == "inflate":
+            return Answer.majority(answer.witness, answer.multiplicity + 1), None
+        if kind == "deflate":
+            return Answer.majority(answer.witness, answer.multiplicity - 1), None
+        if kind == "rewitness":
+            other = [
+                b
+                for b in range(1, n + 1)
+                if inst.color_of(b) != inst.color_of(answer.witness)
+            ]
+            if other:
+                ball = other[rng.randrange(len(other))]
+                return Answer.majority(ball, answer.multiplicity), None
+            return Answer.majority(answer.witness, answer.multiplicity + 1), None
+        return Answer.no_majority(), Certificate()
+
+    # weight toward answer flips so the mix produces enough outright lies
+    kinds = ["drop_pair", "swap_ball", "dup_ball", "retarget", "strip_candidate"]
+    if not len(cert.pairs) or rng.bernoulli(0.35):
+        kind = "flip"
+    else:
+        kind = kinds[rng.randrange(len(kinds))]
+    if kind == "flip":
+        witness = cert.candidate if cert.candidate else 1
+        return Answer.majority(witness, n // 2 + 1), None
+    pairs = list(cert.pairs)
+    if kind == "drop_pair":
+        pairs.pop(rng.randrange(len(pairs)))
+        return answer, Certificate(pairs=tuple(pairs), triangle=cert.triangle, candidate=cert.candidate)
+    if kind == "swap_ball":
+        i = rng.randrange(len(pairs))
+        a, _ = pairs[i]
+        pairs[i] = (a, rng.randint(1, n))
+        return answer, Certificate(pairs=tuple(pairs), triangle=cert.triangle, candidate=cert.candidate)
+    if kind == "dup_ball":
+        i = rng.randrange(len(pairs))
+        a, _ = pairs[i]
+        pairs[i] = (a, a)
+        return answer, Certificate(pairs=tuple(pairs), triangle=cert.triangle, candidate=cert.candidate)
+    if kind == "retarget":
+        return answer, Certificate(
+            pairs=cert.pairs, triangle=cert.triangle, candidate=rng.randint(1, n)
+        )
+    return answer, Certificate(pairs=cert.pairs, triangle=cert.triangle, candidate=None)

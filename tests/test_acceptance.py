@@ -16,8 +16,6 @@ from itertools import product
 import pytest
 
 from majoritylab import (
-    Answer,
-    Certificate,
     ComponentState,
     CountingOracle,
     Instance,
@@ -40,6 +38,7 @@ from majoritylab.lowerbound import AdversaryWorld
 from conftest import ACCEPTANCE_REPORT
 from predictors import class_counts, predict_heavy, predict_light
 from statsuites import ALL_SUITES
+from support import claim_is_true, mutate
 
 pytestmark = pytest.mark.slow
 
@@ -335,70 +334,6 @@ def test_criterion_10_concentration_suites():
             result = suite()
             assert result.fraction_within >= 0.99, (result.name, result.detail)
             assert result.companions_ok, (result.name, result.detail)
-
-
-def claim_is_true(answer: Answer, inst: Instance) -> bool:
-    truth = brute_force_majority(inst)
-    if answer.is_majority:
-        return (
-            truth.is_majority
-            and answer.witness is not None
-            and 1 <= answer.witness <= inst.n
-            and answer.multiplicity == truth.multiplicity
-            and inst.color_of(answer.witness) == inst.color_of(truth.witness)
-        )
-    return not truth.is_majority
-
-
-def mutate(answer: Answer, cert: Certificate | None, inst: Instance, rng: RandomStream):
-    """One structured corruption of a claim; returns (answer, cert)."""
-    n = inst.n
-    if answer.is_majority:
-        kind = ("inflate", "deflate", "rewitness", "flip")[rng.randrange(4)]
-        if kind == "inflate":
-            return Answer.majority(answer.witness, answer.multiplicity + 1), None
-        if kind == "deflate":
-            return Answer.majority(answer.witness, answer.multiplicity - 1), None
-        if kind == "rewitness":
-            other = [
-                b
-                for b in range(1, n + 1)
-                if inst.color_of(b) != inst.color_of(answer.witness)
-            ]
-            if other:
-                ball = other[rng.randrange(len(other))]
-                return Answer.majority(ball, answer.multiplicity), None
-            return Answer.majority(answer.witness, answer.multiplicity + 1), None
-        return Answer.no_majority(), Certificate()
-
-    # weight toward answer flips so the mix produces enough outright lies
-    kinds = ["drop_pair", "swap_ball", "dup_ball", "retarget", "strip_candidate"]
-    if not len(cert.pairs) or rng.bernoulli(0.35):
-        kind = "flip"
-    else:
-        kind = kinds[rng.randrange(len(kinds))]
-    if kind == "flip":
-        witness = cert.candidate if cert.candidate else 1
-        return Answer.majority(witness, n // 2 + 1), None
-    pairs = list(cert.pairs)
-    if kind == "drop_pair":
-        pairs.pop(rng.randrange(len(pairs)))
-        return answer, Certificate(pairs=tuple(pairs), triangle=cert.triangle, candidate=cert.candidate)
-    if kind == "swap_ball":
-        i = rng.randrange(len(pairs))
-        a, _ = pairs[i]
-        pairs[i] = (a, rng.randint(1, n))
-        return answer, Certificate(pairs=tuple(pairs), triangle=cert.triangle, candidate=cert.candidate)
-    if kind == "dup_ball":
-        i = rng.randrange(len(pairs))
-        a, _ = pairs[i]
-        pairs[i] = (a, a)
-        return answer, Certificate(pairs=tuple(pairs), triangle=cert.triangle, candidate=cert.candidate)
-    if kind == "retarget":
-        return answer, Certificate(
-            pairs=cert.pairs, triangle=cert.triangle, candidate=rng.randint(1, n)
-        )
-    return answer, Certificate(pairs=cert.pairs, triangle=cert.triangle, candidate=None)
 
 
 def test_criterion_11_certificate_soundness_fuzz():

@@ -327,25 +327,32 @@ _ENTRIES = {
 @given(
     entry=st.sampled_from(sorted(_ENTRIES)),
     malformed=st.sampled_from(_MALFORMED),
-    form=st.sampled_from(["plain", "object", "uint64"]),
+    form=st.sampled_from(["plain", "object", "uint64", "scalar"]),
 )
 def test_every_entry_point_rejects_a_malformed_ball_before_billing(entry, malformed, form):
     # One check path: whatever the entry point, a malformed ball raises the
     # same documented error, and nothing is billed or recorded.  A scalar
     # slot takes the value as it is or as a numpy uint64; an array slot takes
-    # it beside ball 1 in a list, an object array or a uint64 array, and a
-    # nested list or 2-D array in place of the whole array.
+    # it beside ball 1 in a list, an object array or a uint64 array, a
+    # nested list or 2-D array in place of the whole array, and, in the
+    # "scalar" form, the value alone in place of the whole array.
     kind, call = _ENTRIES[entry]
     value, error = malformed
     integer = isinstance(value, int) and not isinstance(value, bool)
     if form == "uint64":
         assume(integer and 0 <= value < 2**64)
+    if form == "scalar":
+        assume(kind in ("balls", "given") and np.ndim(value) == 0)
+        assume(entry != "cmp_many-left")  # a single ball is its one-ball form
+        assume(not (kind == "given" and value is None))  # no balls given: all of them
     if kind == "k":
         assume(not integer or value < 1)  # any k >= 1 is a valid bound
     assume(not (entry == "scan_until-v" and value is None))  # a scan without a ball
-    if kind in ("given", "candidate", "k", "certificate"):
+    if kind in ("given", "candidate", "k", "certificate") or form == "scalar":
         error = ValueError
-    if kind in ("balls", "given") and np.ndim(value) != 2:
+    if form == "scalar":
+        pass
+    elif kind in ("balls", "given") and np.ndim(value) != 2:
         dtype = np.uint64 if form == "uint64" else object
         value = [1, value] if form == "plain" else np.array([1, value], dtype=dtype)
     elif form == "uint64":
@@ -357,6 +364,25 @@ def test_every_entry_point_rejects_a_malformed_ball_before_billing(entry, malfor
         call(oracle, value)
     assert oracle.comparisons == 0
     assert len(oracle.transcript) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda o: o.vote(5),
+        lambda o: o.cmp_many([1], 5),
+        lambda o: o.scan_until(None, 1, 2, 1),
+        lambda o: o.distinct_balls(5),
+        lambda o: majority(o, 2),
+        lambda o: boyer_moore(o, 5),
+    ],
+    ids=["vote", "cmp_many", "scan_until", "distinct_balls", "majority", "boyer_moore"],
+)
+def test_a_scalar_in_place_of_balls_is_not_one_dimensional(call):
+    oracle = CountingOracle(Instance((1, 2, 3)), record_transcript=True)
+    with pytest.raises(ValueError, match="balls must be one-dimensional, got shape \\(\\)"):
+        call(oracle)
+    assert oracle.comparisons == 0 and len(oracle.transcript) == 0
 
 
 def _read_only(values):
@@ -608,6 +634,30 @@ def test_parse_distinct_and_uniform():
 def test_parse_rejects_bad_specs(bad):
     with pytest.raises(ValueError):
         parse_distribution(bad)
+
+
+@pytest.mark.parametrize("bad", ["profile:0.5,nan", "profile:nan,0.5", "profile:0.5,inf", "profile:1e400,0.5"])
+def test_parse_rejects_fractions_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        parse_distribution(bad)
+
+
+@pytest.mark.parametrize(
+    "bad,number",
+    [
+        ("uniform:k=2.5", "2.5"),
+        ("profile:0.5,rest=2.5", "2.5"),
+        ("profile:0.5,rest=x", "x"),
+        ("binary:p=abc", "abc"),
+        ("binary:p=", ""),
+        ("profile:3,x", "x"),
+        ("profile:0.5,0.5x", "0.5x"),
+    ],
+)
+def test_parse_names_the_spec_of_a_number_that_does_not_parse(bad, number):
+    with pytest.raises(ValueError) as caught:
+        parse_distribution(bad)
+    assert str(caught.value) == f"bad number {number!r} in distribution {bad!r}"
 
 
 def test_describe_round_trips():

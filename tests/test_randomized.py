@@ -1,5 +1,6 @@
 """The randomized driver: dispatch, branches, certificates, accounting."""
 
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from majoritylab import (
     Params,
     RandomStream,
     RunStats,
+    answer_matches_brute_force,
     boyer_moore,
     generate,
     heavy,
@@ -38,7 +40,7 @@ from majoritylab.randomized import (
     _resolve_leftover,
     _unequal_pairs,
 )
-from support import all_colorings, assert_run_ok, run_randomized
+from support import all_colorings, assert_run_ok, claim_is_true, mutate, run_randomized
 
 
 # -- params and sampling -------------------------------------------------
@@ -175,7 +177,11 @@ def test_sample_billing_and_record():
     survivors = round(root.sample_hits / root.top_share)
     assert root.sample_censused == survivors  # a dominant class: censused whole
     assert root.sample_comparisons == k + survivors - 1
-    assert root.scan_comparisons == n - 1 and root.x_size == root.y_pairs == 0
+    # The census asks about the balls the sample left open: each survivor
+    # settles its pair, and a sampled first ball that joined settles its mate.
+    assert root.scan_comparisons + root.reused == n - 1
+    assert (root.scan_comparisons, root.reused) == (16215, 168)
+    assert root.reused >= 2 * survivors - 1 and root.x_size == root.y_pairs == 0
     assert stats.comparisons == sum(lv.total_comparisons for lv in stats.levels)
 
 
@@ -222,11 +228,14 @@ def test_sample_picks_the_dominant_class(pairs, candidate, censused, sample, pai
     balls = np.arange(1, inst.n + 1, dtype=np.int64)
     oracle = CountingOracle(inst)
     lv = LevelStats("balanced", inst.n)
-    equal, top = randomized._sample(oracle, lv, balls.reshape(-1, 2))
+    equal, top, member = randomized._sample(oracle, lv, balls.reshape(-1, 2))
     k = lv.sample_pairs
     assert k == min(len(pairs), 2 * isqrt(inst.n))
     assert equal.tolist() == [a == b for a, b in pairs[:k]]
     assert top == candidate
+    if top is not None:  # every survivor is settled against the candidate
+        colour = inst.color_of(top)
+        assert member.tolist() == [a == b == colour for a, b in pairs[:k]]
     assert lv.sample_censused == censused
     assert (lv.sample_comparisons, lv.pairing_comparisons) == (sample, pairing)
     assert oracle.comparisons == sample + pairing
@@ -265,11 +274,183 @@ def test_sample_of_at_most_64_survivors_is_censused_whole(survivors, order):
     inst = Instance(tuple(c for pair in pairs for c in pair))
     oracle = CountingOracle(inst)
     lv = LevelStats("balanced", inst.n)
-    _, top = randomized._sample(oracle, lv, np.arange(1, inst.n + 1).reshape(-1, 2))
+    _, top, _ = randomized._sample(oracle, lv, np.arange(1, inst.n + 1).reshape(-1, 2))
     bill, colour = _whole_census([a for a, b in head if a == b], k)
     assert lv.sample_censused == len(survivors)
     assert lv.sample_comparisons == bill + (k if colour is not None else 0)
     assert (None if top is None else inst.color_of(top)) == colour
+
+
+# -- census levels reuse what their sample compared -----------------------
+
+
+class _InOrder(randomized._Run):
+    """A run that keeps every level's balls in the order given, so that a
+    test lays out the sampled pairs of a level itself."""
+
+    def permuted(self, balls):
+        return balls
+
+
+def _census_level(colours):
+    """One level over balls 1..m in order: (oracle, answer, cert, its LevelStats)."""
+    inst = Instance(tuple(colours))
+    oracle = CountingOracle(inst, record_transcript=True)
+    run = _InOrder(oracle, Params(cutoff=2), RandomStream(0))
+    answer, cert = randomized._balanced(run, np.arange(1, inst.n + 1, dtype=np.int64))
+    return oracle, answer, cert, run.levels[0]
+
+
+@pytest.mark.parametrize(
+    "joins,odd,kind,scan,pairing",
+    [
+        # 23 balls of colour 1: nine unequal pairs cap it, three of them sampled
+        (0, False, "no_majority", 6 + 4 + 32, 6),
+        (10, False, "majority", 6 + 4 + 32, 0),
+        # 31 of colour 1 among 65 balls: the sample's second double miss
+        # makes the triangle, and the others are not paired at all
+        (8, True, "no_majority", 6 + 4 + 33, 0),
+    ],
+)
+def test_census_level_asks_nothing_its_sample_settled(joins, odd, kind, scan, pairing):
+    # 16 sampled pairs: ten equal pairs of colour 1, then (1, 7) and (1, 8),
+    # whose first balls join, (9, 1), whose second does, and three pairs of
+    # fresh colours; after them, 32 balls with `joins` of colour 1.
+    pairs = _sampled([1] * 10, 16)
+    pairs[10:13] = [(1, 7), (1, 8), (9, 1)]
+    pairs[16 : 16 + joins // 2] = [(1, 1)] * (joins // 2)
+    colours = [c for pair in pairs for c in pair] + [5000] * odd
+    oracle, answer, cert, lv = _census_level(colours)
+    m = len(colours)
+    assert lv.branch == "heavy" and lv.sample_pairs == 16 and lv.sample_hits == 10
+    assert lv.sample_comparisons == 16 + 9
+    # 19 balls of the ten equal pairs and the mates of the two joined firsts
+    assert lv.reused == 21 and lv.scan_comparisons + lv.reused == m - 1
+    assert (lv.scan_comparisons, lv.pairing_comparisons) == (scan, pairing)
+    assert oracle.comparisons == 16 + 9 + scan + pairing
+    assert answer.kind == kind
+    if answer.is_majority:
+        assert (answer.witness, answer.multiplicity) == (2, 23 + joins)
+    else:
+        known = [[27, 28], [29, 30], [31, 32]]  # the sampled double misses
+        if odd:
+            assert cert.triangle[:2] == (29, 30) and cert.pairs[:1].tolist() == known[:1]
+        else:
+            assert cert.pairs[:3].tolist() == known and len(cert.pairs) == m // 2
+    assert verify_run(m, oracle.transcript, answer, cert).accepted
+
+
+def _layout(rows, rest):
+    """A census level of these sampled pairs and then these colours.
+
+    Returns the colours of balls 1..m, the census candidate (the first
+    survivor of colour 1) and the balls the sample settles: those of the
+    equal pairs and the second ball of each unequal pair whose first is of
+    colour 1.
+    """
+    colours = [c for row in rows for c in row] + list(rest)
+    candidate = 2 + 2 * next(i for i, (a, b) in enumerate(rows) if a == b == 1)
+    settled = set()
+    for i, (a, b) in enumerate(rows):
+        if a == b:
+            settled |= {2 * i + 1, 2 * i + 2}
+        elif a == 1:
+            settled.add(2 * i + 2)
+    return colours, candidate, settled
+
+
+@st.composite
+def census_levels(draw):
+    """A level whose sample sends it to the census on colour 1.
+
+    Its k sampled pairs hold a dominant class of colour 1 with q1 at least
+    beta, perhaps after one survivor of colour 2, from which the census
+    switches to the first survivor of colour 1.  The unequal sampled pairs
+    join on their first ball, on their second or on neither, and the balls
+    after the sample are drawn from one of a few palettes.
+    """
+    m = draw(st.integers(9, 80))
+    k = min(m // 2, 2 * isqrt(m))
+    switch = k >= 5 and draw(st.booleans())
+    # q1 = sqrt(hits / k) reaches beta, and hits >= 4 * outside: dominant
+    low = math.ceil(randomized._BETA**2 * k)
+    if switch:
+        hits, outside = draw(st.integers(max(4, low), k - 1)), 1
+    else:
+        hits = draw(st.integers(low, k))
+        outside = draw(st.integers(0, min(hits // 4, k - hits)))
+    unequal = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (4, 5))
+    rows = [(1, 1)] * hits + [
+        (c, c) for c in draw(st.lists(st.sampled_from((2, 3, 4)), min_size=outside, max_size=outside))
+    ]
+    rows += draw(st.lists(st.sampled_from(unequal), min_size=k - len(rows), max_size=k - len(rows)))
+    head = rows.pop(hits if switch else 0)  # a survivor of colour 2 first, or one of colour 1
+    rows = [head] + draw(st.permutations(rows))
+    palette = draw(st.sampled_from(((1, 2, 3, 4, 5), (1, 1, 1, 2), (1, 2), (2, 3))))
+    rest = draw(st.lists(st.sampled_from(palette), min_size=m - 2 * k, max_size=m - 2 * k))
+    return _layout(rows, rest)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(level=census_levels())
+# a majority of colour 1
+@example(level=_layout([(1, 1)] * 6 + [(1, 2), (2, 3)], [1, 2, 1, 3]))
+# exactly half of colour 1: cross pairs only
+@example(level=_layout([(1, 1)] * 4 + [(1, 2), (2, 1), (2, 3), (3, 2)], [2, 3, 4, 5]))
+# odd m: one sampled double miss and the last class ball make the triangle
+@example(level=_layout([(1, 1)] * 4 + [(1, 2), (2, 3), (3, 2), (2, 1)], [2, 3, 4, 5, 2]))
+# the census switches from the survivor of colour 2, whose pair goes to the cross pairs
+@example(
+    level=_layout(
+        [(2, 2)] + [(1, 1)] * 5 + [(1, 2), (1, 3), (2, 1), (2, 3), (3, 2), (4, 5)], [2, 3, 4, 5] * 4
+    )
+)
+def test_census_level_reuses_its_sample(level):
+    colours, candidate, settled = level
+    oracle, answer, cert, lv = _census_level(colours)
+    inst, m = oracle.instance, len(colours)
+    assert lv.branch == "heavy"
+    assert lv.scan_comparisons + lv.reused == m - 1
+    assert lv.total_comparisons == oracle.comparisons
+    assert verify_run(m, oracle.transcript, answer, cert).accepted
+    assert answer_matches_brute_force(answer, inst)
+    for trial in range(4):  # the auditor still rejects every false claim made of the run
+        claim = mutate(answer, cert, inst, RandomStream(trial, "reuse/mutate"))
+        assert not verify_run(m, oracle.transcript, *claim).accepted or claim_is_true(claim[0], inst)
+    if lv.fallback_comparisons:
+        return  # the Boyer-Moore rerun compares the level afresh
+    left, right, _ = oracle.transcript.columns()
+    keys = np.minimum(left, right) * (m + 1) + np.maximum(left, right)
+    assert len(np.unique(keys)) == len(keys)  # no two balls are compared twice
+    census = slice(lv.sample_comparisons, None)
+    asked = right[census][left[census] == candidate]
+    assert not settled & set(asked.tolist())
+
+
+@pytest.mark.parametrize(
+    "spec,n,seed",
+    [
+        ("profile:0.48,rest=100", 1 << 14, 0),
+        ("profile:0.48,rest=100", (1 << 12) + 1, 1),
+        ("binary:p=0.9", 1 << 12, 2),
+        ("binary:p=0.9", (1 << 12) + 1, 3),
+        # a fair-coin level that goes to the census and falls back
+        ("binary:p=0.5", 1 << 12, 190),
+    ],
+)
+def test_census_levels_count_every_census_answer_once(spec, n, seed):
+    inst = generate(spec, n, RandomStream(seed, "floor", spec))
+    _, _, stats = majority(CountingOracle(inst), rng=RandomStream(seed, "floor/run", spec))
+    census = [lv for lv in stats.levels if lv.branch == "heavy"]
+    assert census and all(lv.scan_comparisons + lv.reused == lv.m - 1 for lv in census)
+    assert all(lv.reused > 0 for lv in census)
+    assert all(lv.reused == 0 for lv in stats.levels if lv.branch != "heavy")
+    if spec == "binary:p=0.5":
+        assert census[0].fallback_comparisons > 0
+    witness = next(b for b in range(1, n + 1) if inst.color_of(b) == 1)
+    _, _, stats = heavy(CountingOracle(inst), witness, rng=RandomStream(seed, "floor/heavy"))
+    (lv,) = stats.levels
+    assert lv.reused == 0 and lv.scan_comparisons == n - 1
 
 
 # -- driver edge cases ----------------------------------------------------
