@@ -1,17 +1,19 @@
 """Golden lock: seeded driver outputs that a refactor must not move.
 
 Each row pins one seeded run of ``majority`` at ``cutoff=64``: its
-comparison count, answer kind, multiplicity and branch trace.  A separate
-pin covers the sha256 of one bench CSV.  A change that moves any of these
-on purpose re-derives the table and says so in CHANGES.md.
+comparison count, answer kind, multiplicity and branch trace.  Separate
+pins cover the sha256 of one bench CSV and of the ``analyze --martingale``
+CSV of each merge strategy.  A change that moves any of these on purpose
+re-derives the table and says so in CHANGES.md.
 """
 
 import hashlib
 
 import pytest
 
-from majoritylab import CountingOracle, Params, RandomStream, generate, majority
+from majoritylab import CountingOracle, Params, RandomStream, generate, majority, simulate_balance
 from majoritylab.bench import ExperimentConfig, rows_to_csv, run_grid
+from majoritylab.cli import main
 
 # (spec, n, seed, comparisons, kind, multiplicity, branch trace)
 # On the n = 8192 rows of binary:p=0.5 and profile:0.5,0.5 the root samples
@@ -92,3 +94,27 @@ def test_golden_run(spec, n, seed, comparisons, kind, multiplicity, trace):
 def test_golden_bench_csv():
     csv = rows_to_csv(run_grid(CSV_GRID))
     assert hashlib.sha256(csv.encode()).hexdigest() == CSV_SHA256
+
+
+# analyze --martingale --n 300 --trials 40 --seed 7, per strategy: the CSV's
+# sha256, and two header fields that it prints rounded, pinned exactly.
+# (strategy, sha256, terminal_balance_var, majority_rate)
+MARTINGALE = (
+    ("uniform", "797b635b0a19cf17ada75fb00020fdf5ffa5b5b3dd3063eb04a90fc3ad57fe83",
+     157814.81025641027, 0.95),
+    ("smallest-first", "a97d9cc2c4b0572e070ca9bb6f1215b8797bcf0818aacff51564cd4b097017b8",
+     129882.70769230768, 0.925),
+    ("largest-first", "6a06525b01b2a39fbbe2a2d7cc2267c48527d95de7cfaceda381a448a36f8c67",
+     119758.76923076923, 0.975),
+)
+
+
+@pytest.mark.parametrize("strategy,sha256,variance,majority_rate", MARTINGALE)
+def test_golden_martingale_csv(capsys, strategy, sha256, variance, majority_rate):
+    argv = ["analyze", "--martingale", "--n", "300", "--trials", "40"]
+    assert main([*argv, "--strategy", strategy, "--seed", "7"]) == 0
+    csv = capsys.readouterr().out
+    assert hashlib.sha256(csv.encode()).hexdigest() == sha256
+    stats = simulate_balance(300, strategy, 40, RandomStream(7, f"martingale/{strategy}", 300))
+    assert stats.terminal_balance_var == variance
+    assert stats.majority_rate == majority_rate
