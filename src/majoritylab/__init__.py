@@ -34,14 +34,11 @@ from .core import (
 )
 from .lowerbound import (
     STRATEGIES,
-    AdversaryWorld,
     BalanceStats,
-    ComponentState,
     ConvergenceError,
     beta_interval,
     integrate,
     lower_bound_constant,
-    merge_step,
     normal_cdf,
     predict_bound,
     simulate_balance,
@@ -82,14 +79,11 @@ __all__ = [
     "relabel",
     "write_instance",
     "STRATEGIES",
-    "AdversaryWorld",
     "BalanceStats",
-    "ComponentState",
     "ConvergenceError",
     "integrate",
     "beta_interval",
     "lower_bound_constant",
-    "merge_step",
     "normal_cdf",
     "predict_bound",
     "simulate_balance",

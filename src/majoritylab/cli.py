@@ -158,7 +158,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.n is None:
             raise ValueError("--martingale requires --n")
         rng = RandomStream(args.seed, f"martingale/{args.strategy}", args.n)
-        stats = simulate_balance(args.n, args.strategy, args.trials, rng)
+        try:
+            stats = simulate_balance(args.n, args.strategy, args.trials, rng)
+        except MemoryError:
+            raise ValueError(
+                f"--n {args.n} with --trials {args.trials} is too large to simulate in memory"
+            ) from None
         print("# majoritylab-analyze v1")
         print(
             f"# strategy={stats.strategy} n={stats.n} trials={stats.trials} "

@@ -100,6 +100,8 @@ class Instance:
         if int64_array and not colors.flags.writeable:
             ids = colors
         else:
+            if not isinstance(colors, (np.ndarray, Sequence)):  # a scalar, say, or None
+                raise ValueError(f"colors must be one-dimensional, got shape {np.shape(colors)}")
             _require_integers(colors, "color ids")
             if isinstance(colors, np.ndarray) and colors.dtype == np.uint64 and colors.size:
                 # Cast to int64, ids past its range would wrap; as objects they

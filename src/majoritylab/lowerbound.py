@@ -8,9 +8,9 @@ squared part-size difference ("balance") summed over components is a
 martingale, and the inferred (never directly compared) equalities created by
 merges are what a verifying algorithm later has to pay for.
 
-This module has a faithful single-step operation for small worlds, a
-vectorized trial engine for statistics at scale, the closed-form probability
-bound for a part holding the overall majority color, the quadrature that
+This module has the merge game's one engine, which runs many trials in
+lockstep over numpy arrays (a scalar model in tests/reference_merge.py
+replays it merge by merge), the closed-form probability bound for a part holding the overall majority color, the quadrature that
 evaluates the resulting cost constant (about 1.0191289), and the interval of
 admissible heavy-branch thresholds.
 
@@ -22,17 +22,15 @@ about third parties, so the checker must not share this code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _integer
 from .rng import RandomStream
 
 __all__ = [
-    "ComponentState",
-    "AdversaryWorld",
     "BalanceStats",
-    "merge_step",
     "simulate_balance",
     "predict_bound",
     "lower_bound_constant",
@@ -47,176 +45,6 @@ STRATEGIES = ("uniform", "smallest-first", "largest-first")
 
 class ConvergenceError(RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
-
-
-@dataclass
-class ComponentState:
-    """One knowledge component: part sizes plus the true color of part A.
-
-    color_a is simulation bookkeeping (the observer knows the actual
-    coloring); it is meaningful only when a > 0.
-    """
-
-    a: int
-    b: int = 0
-    color_a: int = 0
-
-    def __post_init__(self) -> None:
-        if self.a + self.b < 1:
-            raise ValueError("component must hold at least one ball")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("part sizes must be nonnegative")
-
-    @property
-    def size(self) -> int:
-        return self.a + self.b
-
-    @property
-    def delta(self) -> int:
-        return abs(self.a - self.b)
-
-    @property
-    def balance(self) -> int:
-        return (self.a - self.b) ** 2
-
-    @property
-    def monochromatic(self) -> bool:
-        return self.a == 0 or self.b == 0
-
-    def part_color(self, side: str) -> int:
-        return self.color_a if side == "a" else 1 - self.color_a
-
-    def larger_side(self) -> str:
-        return "a" if self.a >= self.b else "b"
-
-
-@dataclass
-class AdversaryWorld:
-    """Mutable world state for the scalar merge process."""
-
-    components: list[ComponentState]
-    steps: int = 0
-    inferred_edges: int = 0
-    inferred_by_color: list[int] = field(default_factory=lambda: [0, 0])
-    merges_mono_mono: int = 0
-    merges_mixed: int = 0
-    merges_di_di: int = 0
-
-    @classmethod
-    def fresh(cls, n: int, rng: RandomStream) -> "AdversaryWorld":
-        """n singleton components with independent uniform colors."""
-        if n < 1:
-            raise ValueError("need at least one ball")
-        return cls([ComponentState(1, 0, int(rng.bernoulli(0.5))) for _ in range(n)])
-
-    @property
-    def n(self) -> int:
-        return sum(c.size for c in self.components)
-
-    @property
-    def total_balance(self) -> int:
-        return sum(c.balance for c in self.components)
-
-    @property
-    def nonzero_balance_count(self) -> int:
-        return sum(1 for c in self.components if c.balance != 0)
-
-    @property
-    def max_balance(self) -> int:
-        return max(c.balance for c in self.components)
-
-    def color_counts(self) -> tuple[int, int]:
-        zeros = sum(c.a if c.color_a == 0 else c.b for c in self.components)
-        return zeros, self.n - zeros
-
-    def majority_color(self) -> int | None:
-        zeros, ones = self.color_counts()
-        if zeros > (zeros + ones) // 2:
-            return 0
-        if ones > (zeros + ones) // 2:
-            return 1
-        return None
-
-    def inferred_majority_edges(self) -> int:
-        """Inferred-equality edges of the strict majority color (0 on a tie)."""
-        maj = self.majority_color()
-        return 0 if maj is None else self.inferred_by_color[maj]
-
-
-def merge_step(
-    world: AdversaryWorld,
-    i: int,
-    j: int,
-    rng: RandomStream | None = None,
-    sides: tuple[str, str] | None = None,
-) -> AdversaryWorld:
-    """Compare a ball of component i against one of component j and merge.
-
-    ``sides`` names the parts the compared balls come from ("a" or "b" for
-    each); by default the larger part of each component, which is where a
-    majority-hunting algorithm picks its representatives.  Colors were fixed
-    when the world was created, so each cross-component comparison is a
-    fresh fair coin and the merged balance lands on (delta_i + delta_j)^2 or
-    (delta_i - delta_j)^2 with equal probability.  i == j is a no-op: the
-    outcome of an intra-component comparison is already determined.
-
-    The inferred-edge tallies follow the three merge shapes: two
-    single-color components infer nothing; a two-color component absorbing a
-    single-color one on an unequal answer links the newcomer to its far part
-    (one inferred edge); two two-color components always link their far
-    sides, one inferred edge on an equal answer and one per color on an
-    unequal answer.  Mutates ``world`` and returns it.
-    """
-    if i == j:
-        return world
-    ci, cj = world.components[i], world.components[j]
-    if sides is None:
-        si, sj = ci.larger_side(), cj.larger_side()
-    else:
-        si, sj = sides
-        if ci.size > 0 and (ci.a if si == "a" else ci.b) == 0:
-            raise ValueError("compared side of component i is empty")
-        if cj.size > 0 and (cj.a if sj == "a" else cj.b) == 0:
-            raise ValueError("compared side of component j is empty")
-    color_i, color_j = ci.part_color(si), cj.part_color(sj)
-    equal = color_i == color_j
-
-    mono_i, mono_j = ci.monochromatic, cj.monochromatic
-    if mono_i and mono_j:
-        world.merges_mono_mono += 1
-    elif mono_i != mono_j:
-        world.merges_mixed += 1
-        if not equal:
-            # The single-color part is inferred equal to the far part of the
-            # two-color component; the new edge carries the newcomer's color.
-            mono_color = color_i if mono_i else color_j
-            world.inferred_edges += 1
-            world.inferred_by_color[mono_color] += 1
-    else:
-        world.merges_di_di += 1
-        if equal:
-            world.inferred_edges += 1
-            world.inferred_by_color[1 - color_i] += 1
-        else:
-            world.inferred_edges += 2
-            world.inferred_by_color[0] += 1
-            world.inferred_by_color[1] += 1
-
-    si_size = ci.a if si == "a" else ci.b
-    opp_i = ci.size - si_size
-    sj_size = cj.a if sj == "a" else cj.b
-    opp_j = cj.size - sj_size
-    if equal:
-        merged = ComponentState(si_size + sj_size, opp_i + opp_j, color_i)
-    else:
-        merged = ComponentState(si_size + opp_j, opp_i + sj_size, color_i)
-
-    k, g = (i, j) if i < j else (j, i)
-    world.components[k] = merged
-    world.components[g] = world.components[-1]
-    world.components.pop()
-    world.steps += 1
-    return world
 
 
 @dataclass(frozen=True)
@@ -259,7 +87,16 @@ def simulate_balance(
     never depends on comparison outcomes, so all trials advance in lockstep
     over numpy arrays; per-trial coins come from the colors, drawn once at
     the start.  Compared sides are the larger parts, ties toward part A.
+
+    A component is kept as its size, the difference d = |a - b| of its part
+    sizes and the color c of its compared part.  Comparing two components
+    merges them to d_i + d_j with color c_i when their compared colors
+    agree, else to |d_i - d_j| with the color of the side whose d is larger
+    (c_i on a tie); a component is single-colored exactly when d equals its
+    size.
     """
+    n = _integer(n, "n")
+    trials = _integer(trials, "trials")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     if n < 1 or trials < 1:
@@ -268,12 +105,21 @@ def simulate_balance(
         rng = RandomStream(0, "balance")
     gen = rng.numpy_generator()
 
-    a = np.ones((trials, n), dtype=np.int64)
-    b = np.zeros((trials, n), dtype=np.int64)
-    col = gen.integers(0, 2, size=(trials, n), dtype=np.int8)
+    # Slot k of trial r is element k * trials + r: slot k of every trial is
+    # one contiguous run, so a size-ordered pick merges two whole runs.
+    color = gen.integers(0, 2, size=(trials, n), dtype=np.int8).T.flatten()
+    size = np.ones(n * trials, dtype=np.int64)
+    d = np.ones(n * trials, dtype=np.int64)
+    # The last component's parts are the two color classes, so each trial's
+    # majority color is fixed by its draw; -1 where there is none.
+    ones = color.reshape(n, trials).sum(axis=0)
+    major = np.where(n - ones > n // 2, 0, np.where(ones > n // 2, 1, -1))
     inferred = np.zeros(trials, dtype=np.int64)
-    by_color = np.zeros((trials, 2), dtype=np.int64)
+    inferred_major = np.zeros(trials, dtype=np.int64)
     rows = np.arange(trials)
+
+    def slot(k: int) -> slice:
+        return slice(k * trials, (k + 1) * trials)
 
     grid = _checkpoint_grid(n)
     want = set(grid)
@@ -281,85 +127,59 @@ def simulate_balance(
     mk_mean: dict[int, float] = {}
 
     def record(k: int, live: int) -> None:
-        d = a[:, :live] - b[:, :live]
-        nk_mean[k] = float((d != 0).sum(axis=1).mean())
-        mk_mean[k] = float((d * d).max(axis=1).mean())
+        head = d[: live * trials].reshape(live, trials)
+        nk_mean[k] = float(np.count_nonzero(head, axis=0).mean())
+        mk_mean[k] = float((head.max(axis=0) ** 2).mean())
 
     if 0 in want:
         record(0, n)
 
-    sizes = np.full(n, 1, dtype=np.int64)  # identical across trials by schedule
     for t in range(n - 1):
         live = n - t
         if strategy == "uniform":
             i = gen.integers(0, live, size=trials)
             j = gen.integers(0, live - 1, size=trials)
-            j = j + (j >= i)
+            at_i, at_j = i * trials + rows, (j + (j >= i)) * trials + rows
         else:
-            order = sizes[:live]
-            if strategy == "smallest-first":
-                pick = np.argpartition(order, 1)[:2] if live > 2 else np.array([0, 1])
-            else:
-                pick = np.argpartition(-order, 1)[:2] if live > 2 else np.array([0, 1])
-            i = np.full(trials, int(pick[0]))
-            j = np.full(trials, int(pick[1]))
+            order = size[: live * trials : trials]  # identical across trials by schedule
+            if strategy == "largest-first":
+                order = -order
+            pick = np.argpartition(order, 1)[:2] if live > 2 else (0, 1)
+            at_i, at_j = slot(int(pick[0])), slot(int(pick[1]))
 
-        ai, bi = a[rows, i], b[rows, i]
-        aj, bj = a[rows, j], b[rows, j]
-        ci, cj = col[rows, i], col[rows, j]
-        side_i_a = ai >= bi
-        side_j_a = aj >= bj
-        col_si = np.where(side_i_a, ci, 1 - ci)
-        col_sj = np.where(side_j_a, cj, 1 - cj)
-        equal = col_si == col_sj
+        di, dj = d[at_i], d[at_j]
+        ci, cj = color[at_i], color[at_j]
+        mono_i, mono_j = di == size[at_i], dj == size[at_j]
+        equal = ci == cj
 
-        mono_i = (ai == 0) | (bi == 0)
-        mono_j = (aj == 0) | (bj == 0)
-        di_di = ~mono_i & ~mono_j
-        mixed = mono_i ^ mono_j
-        inferred += (di_di & equal) + 2 * (di_di & ~equal) + (mixed & ~equal)
-        edge_a = di_di & equal
-        by_color[rows, 1 - col_si] += edge_a
-        both = di_di & ~equal
-        by_color[:, 0] += both
-        by_color[:, 1] += both
-        mono_color = np.where(mono_i, col_si, col_sj)
-        edge_c = mixed & ~equal
-        by_color[rows, mono_color] += edge_c
+        # Inferred equalities, by merge shape: two two-color components link
+        # their far parts, once (color 1 - c_i) on an equal answer and once
+        # per color on an unequal one; a single-color component joining a
+        # two-color one on an unequal answer links to its far part, in its
+        # own color.  Two single-color components infer nothing.
+        both = ~mono_i & ~mono_j
+        joined = (mono_i ^ mono_j) & ~equal
+        inferred += np.where(equal, 1, 2) * both + joined
+        inferred_major += both & np.where(equal, 1 - ci == major, major >= 0)
+        inferred_major += joined & (np.where(mono_i, ci, cj) == major)
 
-        si_sz = np.where(side_i_a, ai, bi)
-        opp_i = np.where(side_i_a, bi, ai)
-        sj_sz = np.where(side_j_a, aj, bj)
-        opp_j = np.where(side_j_a, bj, aj)
-        a[rows, i] = si_sz + np.where(equal, sj_sz, opp_j)
-        b[rows, i] = opp_i + np.where(equal, opp_j, sj_sz)
-        col[rows, i] = col_si
+        merged_d = np.where(equal, di + dj, np.abs(di - dj))
+        color[at_i] = np.where(equal | (di >= dj), ci, 1 - ci)
+        d[at_i] = merged_d
+        size[at_i] += size[at_j]
 
         # swap-remove slot j; the merged slot i survives even when i == live-1
         # because the copy reads it first
-        a[rows, j] = a[:, live - 1]
-        b[rows, j] = b[:, live - 1]
-        col[rows, j] = col[:, live - 1]
-
-        if strategy != "uniform":
-            # mirror the slot shuffle on the (trial-independent) size table,
-            # in the same write order as the arrays above
-            merged_size = int(si_sz[0] + opp_i[0] + sj_sz[0] + opp_j[0])
-            sizes[int(pick[0])] = merged_size
-            sizes[int(pick[1])] = sizes[live - 1]
+        last = slot(live - 1)
+        d[at_j] = d[last]
+        color[at_j] = color[last]
+        size[at_j] = size[last]
 
         k = t + 1
         if k in want:
             record(k, live - 1)
 
-    deltas = a[:, 0] - b[:, 0]
-    terminal = (deltas * deltas).astype(np.float64)
-    zeros = np.where(col[:, 0] == 0, a[:, 0], b[:, 0])
-    ones = n - zeros
-    maj0 = zeros > n // 2
-    maj1 = ones > n // 2
-    nv_major = np.where(maj0, by_color[:, 0], np.where(maj1, by_color[:, 1], 0))
-
+    terminal = (d[:trials] * d[:trials]).astype(np.float64)
     grid = [k for k in grid if k in nk_mean]
     return BalanceStats(
         n=n,
@@ -368,8 +188,8 @@ def simulate_balance(
         terminal_balance_mean=float(terminal.mean()),
         terminal_balance_var=float(terminal.var(ddof=1)) if trials > 1 else 0.0,
         inferred_edges_mean=float(inferred.mean()),
-        inferred_majority_edges_mean=float(nv_major.mean()),
-        majority_rate=float((maj0 | maj1).mean()),
+        inferred_majority_edges_mean=float(inferred_major.mean()),
+        majority_rate=float((major >= 0).mean()),
         checkpoints=tuple(grid),
         nonzero_count_mean=tuple(nk_mean[k] for k in grid),
         max_balance_mean=tuple(mk_mean[k] for k in grid),

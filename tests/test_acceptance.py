@@ -13,10 +13,10 @@ import time
 from contextlib import contextmanager
 from itertools import product
 
+import numpy as np
 import pytest
 
 from majoritylab import (
-    ComponentState,
     CountingOracle,
     Instance,
     Params,
@@ -29,14 +29,13 @@ from majoritylab import (
     heavy,
     lower_bound_constant,
     majority,
-    merge_step,
     simulate_balance,
     verify_run,
 )
-from majoritylab.lowerbound import AdversaryWorld
 
 from conftest import ACCEPTANCE_REPORT
 from predictors import class_counts, predict_heavy, predict_light
+from reference_merge import AdversaryWorld, ComponentState, merge_step
 from statsuites import ALL_SUITES
 from support import claim_is_true, mutate
 
@@ -297,16 +296,20 @@ def test_criterion_8_threshold_interval():
 
 
 def test_criterion_9_martingale():
-    with criterion(9, "merge-game balance is a martingale; step identity exact"):
-        n = 10_000
+    with criterion(9, "merge-game balance is a martingale; terminal and step identities exact"):
+        n, trials = 10_000, 2000
         for idx, strategy in enumerate(("uniform", "smallest-first", "largest-first")):
-            stats = simulate_balance(
-                n, strategy, trials=2000, rng=RandomStream(509, "accept/balance", idx)
-            )
+            rng = RandomStream(509, "accept/balance", idx)
+            stats = simulate_balance(n, strategy, trials=trials, rng=rng)
             assert abs(stats.terminal_balance_mean - n) <= 0.15 * n, (
                 strategy,
                 stats.terminal_balance_mean,
             )
+            # The last component's parts are the two colour classes, so each
+            # trial ends at (#colour 0 - #colour 1)^2 of its own draw.
+            colors = rng.numpy_generator().integers(0, 2, size=(trials, n), dtype=np.int8)
+            ends = (n - 2 * colors.sum(axis=1)) ** 2
+            assert stats.terminal_balance_mean == ends.astype(np.float64).mean(), strategy
 
         rng = RandomStream(510, "accept/steps")
         for _ in range(1000):

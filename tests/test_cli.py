@@ -118,6 +118,13 @@ def test_analyze_martingale_csv(capsys):
         int(k), float(nk), float(mk)
 
 
+def test_analyze_oversized_martingale_is_usage_error(capsys):
+    # The first array would be 1.6 PiB: its allocation fails at once.
+    code, out, err = run_cli(capsys, "analyze", "--martingale", "--n", "2^44", "--trials", "100")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --n {1 << 44} with --trials 100 is too large")
+
+
 def test_analyze_needs_a_mode(capsys):
     code, _, err = run_cli(capsys, "analyze")
     assert code == 2 and "error:" in err

@@ -66,6 +66,9 @@ def test_instance_of_no_balls_and_bad_ids():
         np.ones((2, 2), dtype=np.int64),
         np.array([[2**63, 1]], dtype=np.uint64),
         np.array([[2**70, 1]], dtype=object),
+        5,
+        np.int64(5),
+        None,
     ):
         with pytest.raises(ValueError, match="one-dimensional"):
             Instance(nested)

@@ -109,7 +109,9 @@ MARTINGALE = (
 )
 
 
-@pytest.mark.parametrize("strategy,sha256,variance,majority_rate", MARTINGALE)
+@pytest.mark.parametrize(
+    "strategy,sha256,variance,majority_rate", MARTINGALE, ids=[row[0] for row in MARTINGALE]
+)
 def test_golden_martingale_csv(capsys, strategy, sha256, variance, majority_rate):
     argv = ["analyze", "--martingale", "--n", "300", "--trials", "40"]
     assert main([*argv, "--strategy", strategy, "--seed", "7"]) == 0

