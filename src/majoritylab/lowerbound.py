@@ -10,9 +10,10 @@ merges are what a verifying algorithm later has to pay for.
 
 This module has the merge game's one engine, which runs many trials in
 lockstep over numpy arrays (a scalar model in tests/reference_merge.py
-replays it merge by merge), the closed-form probability bound for a part holding the overall majority color, the quadrature that
-evaluates the resulting cost constant (about 1.0191289), and the interval of
-admissible heavy-branch thresholds.
+replays it merge by merge), the closed-form probability bound for a part
+holding the overall majority color, the quadrature that evaluates the
+resulting cost constant (about 1.0191289), and the interval of admissible
+heavy-branch thresholds.
 
 The two-sided inference here is deliberately separate from the certificate
 checker: with three or more colors an unequal comparison implies nothing
