@@ -35,9 +35,7 @@ from .core import (
 from .lowerbound import (
     STRATEGIES,
     BalanceStats,
-    ConvergenceError,
     beta_interval,
-    integrate,
     lower_bound_constant,
     normal_cdf,
     predict_bound,
@@ -80,8 +78,6 @@ __all__ = [
     "write_instance",
     "STRATEGIES",
     "BalanceStats",
-    "ConvergenceError",
-    "integrate",
     "beta_interval",
     "lower_bound_constant",
     "normal_cdf",

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .answers import Answer, Certificate
-from .core import ComparisonRecord, Instance, Transcript, _integer
+from .core import ComparisonRecord, CountingOracle, Instance, Transcript, _integer
 
 __all__ = [
     "InconsistentTranscript",
@@ -368,13 +368,16 @@ def brute_force_majority(instance: Instance, balls: Sequence[int] | None = None)
 
     A strict majority color fills the middle of the sorted colors, so the
     median found by a partition is the only candidate, and one count of
-    its class decides.  The witness is the candidate's first ball.
+    its class decides.  The witness is the candidate's first ball.  Given
+    balls may repeat; they are checked as the oracle checks its balls, so
+    one that is not an integer raises ValueError and one outside 1..n
+    IndexError.
     """
     if balls is None:
         colors = instance.color_array
     else:
-        balls = np.asarray(balls, dtype=np.int64)
-        colors = instance.color_array[balls - 1]
+        balls, idx = CountingOracle(instance)._indices("brute_force_majority", balls)
+        colors = instance.color_array[idx]
     m = len(colors)
     if m == 0:
         return Answer.no_majority()
@@ -390,8 +393,9 @@ def brute_force_majority(instance: Instance, balls: Sequence[int] | None = None)
 def answer_matches_brute_force(
     answer: Answer, instance: Instance, balls: Sequence[int] | None = None
 ) -> bool:
-    """Kind and multiplicity must match; the witness may be any ball of the
-    majority color."""
+    """Kind and multiplicity must match; the witness may be any of the balls
+    of the majority color, and a witness outside 1..n or not among the
+    given balls does not match."""
     truth = brute_force_majority(instance, balls)
     if answer.kind != truth.kind:
         return False
@@ -399,5 +403,10 @@ def answer_matches_brute_force(
         return True
     if answer.multiplicity != truth.multiplicity:
         return False
-    return instance.color_of(answer.witness) == instance.color_of(truth.witness)
+    witness = answer.witness
+    if witness is None or not 1 <= witness <= instance.n:
+        return False
+    if balls is not None and witness not in balls:
+        return False
+    return instance.color_of(witness) == instance.color_of(truth.witness)
 

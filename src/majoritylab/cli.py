@@ -8,8 +8,7 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a contract is violated (wrong answer,
 rejected certificate, failed audit, or a ContractViolation raised by a
-run), 2 on usage errors and on a quadrature that cannot reach the
-requested tolerance.
+run), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -31,13 +30,7 @@ from .bench import (
 )
 from .certify import answer_matches_brute_force, brute_force_majority, verify_run
 from .core import CountingOracle, generate, read_instance
-from .lowerbound import (
-    STRATEGIES,
-    ConvergenceError,
-    beta_interval,
-    lower_bound_constant,
-    simulate_balance,
-)
+from .lowerbound import STRATEGIES, beta_interval, lower_bound_constant, simulate_balance
 from .rng import RandomStream
 
 __all__ = ["main"]
@@ -148,7 +141,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.constant:
-        constant = lower_bound_constant(args.tolerance)
+        constant = lower_bound_constant()
         beta_low, beta_high = beta_interval()
         print(f"lower_bound_constant: {constant:.10f}")
         print(f"beta_low: {beta_low:.10f}")
@@ -252,9 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the cost constant and the admissible threshold interval",
     )
     analyze_p.add_argument(
-        "--tolerance", type=float, default=1e-8, help="integration tolerance"
-    )
-    analyze_p.add_argument(
         "--martingale",
         action="store_true",
         help="simulate the merge game and print trajectory statistics as CSV",
@@ -276,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as exc:
         print(f"contract violated: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ConvergenceError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -147,7 +147,14 @@ class Instance:
         return tuple(map(self._labels.__getitem__, self.color_array.tolist()))
 
     def color_of(self, ball: int) -> int:
-        """Color of a 1-based ball index. Test/generator privilege only."""
+        """Color of a 1-based ball index. Test/generator privilege only.
+
+        A ball that is not an integer raises ValueError, and one outside
+        1..n IndexError naming it.
+        """
+        ball = _integer(ball, "color_of: a ball")
+        if not 1 <= ball <= self.n:
+            raise IndexError(f"ball index out of range: color_of got {ball} with n={self.n}")
         color = int(self.color_array[ball - 1])
         return color if self._labels is None else self._labels[color]
 
@@ -533,21 +540,6 @@ class DistributionSpec:
     counts: tuple[int, ...] = ()         # profile (exact counts variant)
     rest_colors: int = 0                 # profile: spread remainder over this many colors
     k: int | None = None                 # uniform; None means k = n
-
-    def describe(self) -> str:
-        if self.kind == "binary":
-            return f"binary:p={self.p:g}"
-        if self.kind == "distinct":
-            return "distinct"
-        if self.kind == "uniform":
-            return f"uniform:k={self.k if self.k is not None else 'n'}"
-        if self.counts:
-            body = ",".join(str(c) for c in self.counts)
-        else:
-            body = ",".join(f"{f:g}" for f in self.fractions)
-        if self.rest_colors:
-            body += f",rest={self.rest_colors}"
-        return f"profile:{body}"
 
 
 def parse_distribution(text: str) -> DistributionSpec:

@@ -11,9 +11,9 @@ merges are what a verifying algorithm later has to pay for.
 This module has the merge game's one engine, which runs many trials in
 lockstep over numpy arrays (a scalar model in tests/reference_merge.py
 replays it merge by merge), the closed-form probability bound for a part
-holding the overall majority color, the quadrature that evaluates the
-resulting cost constant (about 1.0191289), and the interval of admissible
-heavy-branch thresholds.
+holding the overall majority color, the resulting cost constant (about
+1.0191289) in closed form, and the interval of admissible heavy-branch
+thresholds.
 
 The two-sided inference here is deliberately separate from the certificate
 checker: with three or more colors an unequal comparison implies nothing
@@ -37,15 +37,10 @@ __all__ = [
     "lower_bound_constant",
     "beta_interval",
     "normal_cdf",
-    "ConvergenceError",
     "STRATEGIES",
 ]
 
 STRATEGIES = ("uniform", "smallest-first", "largest-first")
-
-
-class ConvergenceError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -219,65 +214,23 @@ def predict_bound(k: float, n: float) -> float:
     return normal_cdf(math.sqrt(t / (n - t)))
 
 
-def _cost_integrand(x: float) -> float:
-    # (1/6) * (1 - Phi(...)) with the x = 2/3 endpoint taken as its limit 0.
-    if x >= 2.0 / 3.0:
-        return 0.0
-    return (1.0 - normal_cdf(math.sqrt(1.5 * x / (1.0 - 1.5 * x)))) / 6.0
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, eps, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if abs(left + right - whole) <= 15.0 * eps:
-        return left + right + (left + right - whole) / 15.0
-    if depth <= 0:
-        raise ConvergenceError("adaptive quadrature did not converge")
-    return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, eps / 2.0, depth - 1
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, eps / 2.0, depth - 1)
-
-
-def integrate(f, a: float, b: float, tolerance: float, max_depth: int = 60) -> float:
-    """Adaptive Simpson quadrature to the given absolute tolerance."""
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tolerance, max_depth)
-
-
-def lower_bound_constant(tolerance: float = 1e-8) -> float:
+def lower_bound_constant() -> float:
     """The cost constant 1 + integral of the truncated edge-cost bound.
 
-    Evaluates 1 + int_0^{2/3} (1/6)(1 - Phi(sqrt((3x/2)/(1 - 3x/2)))) dx,
-    which is approximately 1.0191289.
+    The integral is int_0^{2/3} (1/6)(1 - Phi(sqrt((3x/2)/(1 - 3x/2)))) dx.
+    Substituting u = 3x/2 and t = sqrt(u/(1 - u)) and integrating by parts
+    turns it into (1/9)(1/2 - int_0^inf phi(t)/(1 + t^2) dt), and that last
+    integral is sqrt(pi e/2)(1 - Phi(1)).  The constant is about 1.0191289.
     """
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    return 1.0 + integrate(_cost_integrand, 0.0, 2.0 / 3.0, tolerance / 2.0)
+    return 1.0 + (0.5 - math.sqrt(math.pi * math.e / 2.0) * (1.0 - normal_cdf(1.0))) / 9.0
 
 
-def beta_interval(precision: float = 1e-9) -> tuple[float, float]:
+def beta_interval() -> tuple[float, float]:
     """Admissible range for the heavy-branch threshold.
 
-    The low end is 1 - 1/sqrt(3); the high end is the unique root of
-    p^3 - 19 p^2 - 8 p + 8 in (0, 1), found by bisection to ``precision``.
+    The low end is 1 - 1/sqrt(3); the high end is the root in (0, 1) of
+    p^3 - 19 p^2 - 8 p + 8, whose other two roots lie near -0.87 and 19.4.
     """
     beta1 = 1.0 - 1.0 / math.sqrt(3.0)
-
-    def poly(p: float) -> float:
-        return ((p - 19.0) * p - 8.0) * p + 8.0
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > precision:
-        mid = 0.5 * (lo + hi)
-        if poly(lo) * poly(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return beta1, 0.5 * (lo + hi)
+    roots = np.roots([1.0, -19.0, -8.0, 8.0]).real
+    return beta1, float(roots[(0.0 < roots) & (roots < 1.0)][0])

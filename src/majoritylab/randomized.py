@@ -82,25 +82,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Params:
-    """The two values the driver reads.
+    """The value the driver reads.
 
-    cutoff     - at or below this size a level hands off to boyer_moore.
-                 On fair coins the base levels cost about 0.001n at
-                 n = 2^16 with the default 64, against 0.016n at 1024.
-    cap_factor - hard comparison cap, cap_factor * n per run.
+    cutoff - at or below this size a level hands off to boyer_moore.  On
+             fair coins the base levels cost about 0.001n at n = 2^16 with
+             the default 64, against 0.016n at 1024.
     """
 
     cutoff: int = 64
-    cap_factor: int = 8
 
     def __post_init__(self) -> None:
-        # Numpy integers become ints, so that cap_factor * n cannot wrap.
-        for name in ("cutoff", "cap_factor"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff"))
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
-        if self.cap_factor < 1:
-            raise ValueError("cap_factor must be positive")
+
+
+# A run may make at most this many comparisons per ball.
+_CAP_FACTOR = 8
 
 
 # A level samples the first min(m//2, _SAMPLE_ROOTS * isqrt(m)) pairs of its
@@ -617,7 +615,7 @@ def _drive(
 
     Balls travel between levels as int64 arrays.  Given balls must be
     distinct and in range (ValueError, before any comparison).  The
-    comparison cap (params.cap_factor per ball) and the depth bound are
+    comparison cap (_CAP_FACTOR per ball) and the depth bound are
     checked with ContractViolation, so they hold under ``python -O`` too.
     """
     if balls is None:
@@ -636,7 +634,7 @@ def _drive(
 
     m = len(balls)
     used = oracle.comparisons - start
-    cap = run.params.cap_factor * m
+    cap = _CAP_FACTOR * m
     if used > cap:
         raise ContractViolation(f"comparison cap breached: {used} > {cap}")
     if len(run.levels) > math.log2(max(2, m)) + 1:
@@ -666,7 +664,7 @@ def majority(
 
     Returns (answer, certificate, stats).  The certificate accompanies
     no-majority answers; majority answers are checkable from the transcript
-    alone.  Total comparisons are capped at params.cap_factor * len(balls).
+    alone.  Total comparisons are capped at 8 * len(balls).
     """
     return _drive(oracle, balls, params, rng, _solve)
 

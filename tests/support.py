@@ -69,16 +69,7 @@ def assert_run_ok(instance: Instance, answer, cert, audit_ok) -> None:
 
 
 def claim_is_true(answer: Answer, inst: Instance) -> bool:
-    truth = brute_force_majority(inst)
-    if answer.is_majority:
-        return (
-            truth.is_majority
-            and answer.witness is not None
-            and 1 <= answer.witness <= inst.n
-            and answer.multiplicity == truth.multiplicity
-            and inst.color_of(answer.witness) == inst.color_of(truth.witness)
-        )
-    return not truth.is_majority
+    return answer_matches_brute_force(answer, inst)
 
 
 def mutate(answer: Answer, cert: Certificate | None, inst: Instance, rng: RandomStream):

@@ -282,7 +282,7 @@ def test_criterion_6_branch_cost_formulas():
 def test_criterion_7_cost_constant():
     with criterion(7, "cost constant evaluates to 1.0191289 inside a second"):
         start = time.perf_counter()
-        value = lower_bound_constant(1e-6)
+        value = lower_bound_constant()
         elapsed = time.perf_counter() - start
         assert abs(value - 1.0191289) <= 1e-5
         assert elapsed < 1.0

@@ -423,6 +423,12 @@ def test_brute_force_and_matching():
     assert not answer_matches_brute_force(Answer.majority(2, 3), inst)
     assert not answer_matches_brute_force(Answer.majority(1, 2), inst)
     assert not answer_matches_brute_force(Answer.no_majority(), inst)
+    # a witness outside 1..n, or not among the given balls, is not one
+    for witness in (0, -1, 5, 2**70):
+        assert not answer_matches_brute_force(Answer.majority(witness, 3), inst)
+    assert answer_matches_brute_force(Answer.majority(3, 2), inst, [1, 2, 3])
+    assert not answer_matches_brute_force(Answer.majority(4, 2), inst, [1, 2, 3])
+    assert not answer_matches_brute_force(Answer.majority(4, 2), inst, np.array([3, 3]))
 
 
 def test_brute_force_on_subset():

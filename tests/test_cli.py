@@ -1,5 +1,7 @@
 """The CLI: output contracts, exit codes, file handling."""
 
+from pathlib import Path
+
 import pytest
 
 from majoritylab import ContractViolation, Instance, write_instance
@@ -93,12 +95,13 @@ def test_analyze_constant(capsys):
     assert float(values["beta_high"]) == pytest.approx(0.4757995, abs=1e-6)
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "1e-300"])
-def test_analyze_bad_tolerance_is_usage_error(capsys, tolerance):
-    # 1e-300 is finite but unreachable: the quadrature gives up, and that
-    # is not a contract violation.
-    code, out, err = run_cli(capsys, "analyze", "--constant", "--tolerance", tolerance)
-    assert code == 2 and out == "" and err.startswith("error:")
+def test_readme_shows_the_analyze_constant_output(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("$ python3 -m majoritylab analyze --constant\n", 1)[1]
+    shown = after.split("\n\n", 1)[0]
+    code, out, _ = run_cli(capsys, "analyze", "--constant")
+    assert code == 0
+    assert out.strip() == shown
 
 
 def test_analyze_martingale_csv(capsys):

@@ -17,7 +17,9 @@ from majoritylab import (
     Instance,
     Params,
     RandomStream,
+    answer_matches_brute_force,
     boyer_moore,
+    brute_force_majority,
     generate,
     heavy,
     majority,
@@ -34,6 +36,9 @@ def test_instance_basics():
     assert inst.n == 3
     assert inst.color_of(1) == 5
     assert inst.color_of(3) == 7
+    for ball in (0, 4, -1, 2**70):
+        with pytest.raises(IndexError, match=f"color_of got {ball} with n=3"):
+            inst.color_of(ball)
 
 
 @pytest.mark.parametrize(
@@ -315,6 +320,11 @@ _ENTRIES = {
     "scan_until-seconds": ("balls", lambda o, b: o.scan_until(1, [2, 3], b, 1)),
     "scan_until-k": ("k", lambda o, b: o.scan_until(None, [1, 2], [2, 3], b)),
     "vote": ("balls", lambda o, b: o.vote(b)),
+    "brute_force_majority": ("balls", lambda o, b: brute_force_majority(o.instance, b)),
+    "answer_matches_brute_force": (
+        "balls",
+        lambda o, b: answer_matches_brute_force(Answer.no_majority(), o.instance, b),
+    ),
     "distinct_balls": ("given", lambda o, b: o.distinct_balls(b)),
     "majority": ("given", lambda o, b: majority(o, b)),
     "heavy": ("given", lambda o, b: heavy(o, 1, b)),
@@ -347,7 +357,8 @@ def test_every_entry_point_rejects_a_malformed_ball_before_billing(entry, malfor
     if form == "scalar":
         assume(kind in ("balls", "given") and np.ndim(value) == 0)
         assume(entry != "cmp_many-left")  # a single ball is its one-ball form
-        assume(not (kind == "given" and value is None))  # no balls given: all of them
+        # No balls given: all of them.
+        assume(value is not None or kind == "balls" and "brute_force" not in entry)
     if kind == "k":
         assume(not integer or value < 1)  # any k >= 1 is a valid bound
     assume(not (entry == "scan_until-v" and value is None))  # a scan without a ball
@@ -661,12 +672,6 @@ def test_parse_names_the_spec_of_a_number_that_does_not_parse(bad, number):
     with pytest.raises(ValueError) as caught:
         parse_distribution(bad)
     assert str(caught.value) == f"bad number {number!r} in distribution {bad!r}"
-
-
-def test_describe_round_trips():
-    for text in ("binary:p=0.3", "profile:7,5", "distinct", "uniform:k=64"):
-        spec = parse_distribution(text)
-        assert parse_distribution(spec.describe()) == spec
 
 
 # -- generation --------------------------------------------------------

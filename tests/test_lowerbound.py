@@ -7,15 +7,14 @@ import pytest
 
 from majoritylab import (
     STRATEGIES,
-    ConvergenceError,
     RandomStream,
     beta_interval,
-    integrate,
     lower_bound_constant,
     normal_cdf,
     predict_bound,
     simulate_balance,
 )
+from majoritylab import randomized
 
 from reference_merge import AdversaryWorld, ComponentState, merge_step
 
@@ -193,32 +192,25 @@ def test_predict_bound_endpoints_and_monotonicity():
         predict_bound(1, 0)
 
 
-def test_integrate_polynomial_exactness():
-    # Simpson is exact on cubics, so the adaptive wrapper must nail this.
-    assert integrate(lambda x: x**3 - 2 * x, 0.0, 2.0, 1e-12) == pytest.approx(0.0)
-    assert integrate(math.sin, 0.0, math.pi, 1e-10) == pytest.approx(2.0)
-
-
-def test_integrate_reports_nonconvergence():
-    with pytest.raises(ConvergenceError):
-        integrate(lambda x: math.sin(1.0 / max(x, 1e-300)), 0.0, 1.0, 1e-13, max_depth=4)
-
-
 def test_lower_bound_constant_value():
-    assert lower_bound_constant(1e-8) == pytest.approx(1.0191289143, abs=1e-9)
+    # The paper's integrand, integrated here by Gauss-Legendre after x = s^2,
+    # which smooths the square root at 0; 1 - Phi(t) is erfc(t / sqrt 2) / 2.
+    def integrand(x):
+        return math.erfc(math.sqrt(1.5 * x / (1.0 - 1.5 * x)) / math.sqrt(2.0)) / 12.0
 
-
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
-def test_tolerance_must_be_positive_and_finite(tolerance):
-    with pytest.raises(ValueError):
-        lower_bound_constant(tolerance)
-    with pytest.raises(ValueError):
-        integrate(math.sin, 0.0, 1.0, tolerance)
+    nodes, weights = np.polynomial.legendre.leggauss(100)
+    half = math.sqrt(2.0 / 3.0) / 2.0
+    s = half * (nodes + 1.0)
+    integral = half * sum(w * integrand(x * x) * 2.0 * x for w, x in zip(weights, s))
+    assert abs(lower_bound_constant() - (1.0 + integral)) <= 1e-9
+    assert lower_bound_constant() == pytest.approx(1.0191289143, abs=1e-10)
 
 
 def test_beta_interval_values():
     lo, hi = beta_interval()
-    assert lo == pytest.approx(1.0 - 1.0 / math.sqrt(3.0), abs=1e-12)
-    assert hi == pytest.approx(0.47579949323375736, abs=2e-9)
-    # the upper end is a root of p^3 - 19 p^2 - 8 p + 8
-    assert abs(((hi - 19.0) * hi - 8.0) * hi + 8.0) < 1e-7
+    assert lo == 1.0 - 1.0 / math.sqrt(3.0)
+    assert randomized._BETA == lo
+    # the upper end is the root of p^3 - 19 p^2 - 8 p + 8 in (0, 1)
+    assert 0.0 < hi < 1.0
+    assert abs(((hi - 19.0) * hi - 8.0) * hi + 8.0) <= 1e-13
+    assert hi == pytest.approx(0.47579949323375736, abs=1e-15)

@@ -49,11 +49,9 @@ from support import all_colorings, assert_run_ok, claim_is_true, mutate, run_ran
 def test_params_validation():
     with pytest.raises(ValueError):
         Params(cutoff=1)
-    with pytest.raises(ValueError):
-        Params(cap_factor=0)
 
 
-@pytest.mark.parametrize("field", ["cutoff", "cap_factor"])
+@pytest.mark.parametrize("field", ["cutoff"])
 @pytest.mark.parametrize("value", [2.5, 1.5, 64.0, True, "64", None, np.float64(8)])
 def test_params_reject_values_that_are_not_integers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -62,8 +60,8 @@ def test_params_reject_values_that_are_not_integers(field, value):
 
 def test_params_take_numpy_integers():
     inst = generate("binary:p=0.5", 300, RandomStream(3))
-    params = Params(cutoff=np.int64(64), cap_factor=np.uint8(4))
-    assert (type(params.cutoff), type(params.cap_factor)) == (int, int)
+    params = Params(cutoff=np.int64(64))
+    assert type(params.cutoff) is int
     answer, _, _ = majority(CountingOracle(inst), params=params, rng=RandomStream(4))
     expected, _ = boyer_moore(CountingOracle(inst))
     assert (answer.kind, answer.multiplicity) == (expected.kind, expected.multiplicity)
@@ -510,24 +508,24 @@ def test_balanced_pairing_is_exactly_half():
 
 CAP_BREACH = """
 import sys
-from majoritylab import ContractViolation, CountingOracle, Params, RandomStream
-from majoritylab import generate, majority
+from majoritylab import ContractViolation, CountingOracle, RandomStream
+from majoritylab import generate, majority, randomized
 print("optimize:", sys.flags.optimize)
+randomized._CAP_FACTOR = 1
 inst = generate("profile:0.48,rest=100", 1 << 13, RandomStream(30))
 try:
-    majority(CountingOracle(inst), params=Params(cap_factor=1), rng=RandomStream(31))
+    majority(CountingOracle(inst), rng=RandomStream(31))
 except ContractViolation as exc:
     print("raised:", exc)
 """
 
 
-def test_cap_breach_raises_contract_violation():
+def test_cap_breach_raises_contract_violation(monkeypatch):
     # A near-tie run costs more than n comparisons, so a cap of 1n breaks.
+    monkeypatch.setattr(randomized, "_CAP_FACTOR", 1)
     inst = generate("profile:0.48,rest=100", 1 << 13, RandomStream(30))
     with pytest.raises(ContractViolation, match="comparison cap"):
-        majority(
-            CountingOracle(inst), params=Params(cap_factor=1), rng=RandomStream(31)
-        )
+        majority(CountingOracle(inst), rng=RandomStream(31))
 
 
 def test_cap_breach_raises_under_optimize_flag():
