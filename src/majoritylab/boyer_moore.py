@@ -9,11 +9,11 @@ long lead costs numpy steps, not Python ones.  Pass two recounts the
 surviving candidate against all other balls as one ``cmp_many`` batch.
 Total cost is at most 2n - 2 comparisons, checked on every run.
 
-Pass one also yields no-majority evidence for free: every cancellation
-matches one unmatched ball of the current candidate's class against the
-ball that cancelled it, a provably-unequal pair.  Those pairs plus the
-pass-two census form the certificate for a no-majority verdict.  They are
-derived from the joined flags, and only when the verdict needs them.
+Pass one also yields no-majority evidence for free: the k-th ball that
+cancelled is paired with the k-th ball that joined.  Every closed segment
+of pass one holds as many joins as cancels, so that join has the colour
+its canceller was found unequal to, a provably-unequal pair.  Those pairs
+plus the pass-two census form the certificate for a no-majority verdict.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .answers import Answer, Certificate, ContractViolation
 from .core import CountingOracle
 
 __all__ = ["boyer_moore"]
-
-# _cancelled_pairs packs a stack depth and a position, each below 2**31, into
-# one int64 key.
-_MAX_BALLS = 1 << 31
 
 
 def boyer_moore(
@@ -50,14 +46,8 @@ def boyer_moore(
 
 
 def _two_pass(oracle: CountingOracle, balls: np.ndarray) -> tuple[Answer, Certificate | None]:
-    """``boyer_moore`` on distinct, in-range balls given as an int64 array.
-
-    Raises ValueError, before anything is billed or allocated, for 2**31
-    balls or more, where the cancelled pairs' keys would not fit int64.
-    """
+    """``boyer_moore`` on distinct, in-range balls given as an int64 array."""
     m = len(balls)
-    if m >= _MAX_BALLS:
-        raise ValueError(f"boyer_moore: {m} balls; its pair keys need fewer than 2**31")
     if m == 0:
         return Answer.no_majority(), Certificate()
 
@@ -72,33 +62,20 @@ def _two_pass(oracle: CountingOracle, balls: np.ndarray) -> tuple[Answer, Certif
 
     if count > m // 2:
         return Answer.majority(candidate, count), None
-    pairs = _cancelled_pairs(balls, joined)
+    pairs = _cancelled_pairs(balls, joined, candidate)
     return Answer.no_majority(), Certificate(pairs=pairs, candidate=candidate)
 
 
-def _cancelled_pairs(balls: np.ndarray, joined: np.ndarray) -> np.ndarray:
+def _cancelled_pairs(balls: np.ndarray, joined: np.ndarray, candidate: int) -> np.ndarray:
     """The (class ball, ball that cancelled it) pairs of pass one, in canceller order.
 
-    Pass one keeps the unmatched class balls on a stack: a joiner pushes and
-    a canceller pops the latest one.  A joiner's level is the stack depth
-    after its step and a canceller's the depth before it, so in (level,
-    position) order each level alternates push, pop, push, ... and every
-    canceller directly follows the ball it cancels.  Both parts fit one
-    int64 key while there are fewer than 2**31 balls.
+    The k-th canceller is paired with the k-th ball that joined.  A lead
+    left at the end means more joins than cancels; the last candidate is
+    then dropped from the joins, so it is never paired.
     """
-    m = len(balls)
-    cancels = ~joined
-    shift = m.bit_length()
-    key = np.subtract(joined, cancels, dtype=np.int64)
-    np.cumsum(key, out=key)  # the depth after each step
-    key += cancels
-    key <<= shift
-    key |= np.arange(m)
-    key.sort()
-    key &= (1 << shift) - 1  # now the positions in (level, position) order
-    popped = cancels[key].nonzero()[0]
-    mate = np.empty_like(key)
-    mate[key[popped]] = key[popped - 1]
     # Integer indices: a mask this irregular gathers far more slowly.
-    cancellers = cancels.nonzero()[0]
-    return np.column_stack((balls[mate[cancellers]], balls[cancellers]))
+    joins = joined.nonzero()[0]
+    cancellers = (~joined).nonzero()[0]
+    if len(joins) > len(cancellers):
+        joins = joins[balls[joins] != candidate]
+    return np.column_stack((balls[joins[: len(cancellers)]], balls[cancellers]))

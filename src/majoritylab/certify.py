@@ -31,7 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .answers import Answer, Certificate
-from .core import ComparisonRecord, CountingOracle, Instance, Transcript, _integer
+from .core import ComparisonRecord, CountingOracle, Instance, Transcript
+from .core import _integer, _require_integers
 
 __all__ = [
     "InconsistentTranscript",
@@ -107,8 +108,13 @@ def _columns(transcript: Iterable[ComparisonRecord]) -> tuple[np.ndarray, np.nda
     """(left, right, equal) arrays of a Transcript or of any record iterable."""
     if isinstance(transcript, Transcript):
         return transcript.columns()
-    table = np.array([tuple(rec) for rec in transcript], dtype=np.int64).reshape(-1, 3)
-    return table[:, 0], table[:, 1], table[:, 2] != 0
+    records = [tuple(rec) for rec in transcript]
+    if any(len(rec) != 3 or not isinstance(rec[2], (bool, np.bool_)) for rec in records):
+        raise ValueError("transcript records must be two balls and a bool flag")
+    balls = [ball for rec in records for ball in rec[:2]]
+    _require_integers(balls, "transcript balls")
+    table = np.array(balls, dtype=np.int64).reshape(-1, 2)
+    return table[:, 0], table[:, 1], np.array([rec[2] for rec in records], dtype=bool)
 
 
 def _rows(mask: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -141,7 +147,8 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
     Raises ValueError, before anything is read or allocated, when n is not
     an integer (a bool is not one), is negative, or is too large for the
     keys: they and the closing key of the no-majority check reach
-    (n + 1) ** 2, which must stay below 2**63.
+    (n + 1) ** 2, which must stay below 2**63; or when a record is not two
+    integer balls and a bool flag.
     """
     n = _integer(n, "n")
     if not 0 <= n <= _MAX_N:
@@ -190,7 +197,9 @@ def build_eq_structure(n: int, transcript: Iterable[ComparisonRecord]) -> EqStru
 
 
 def check_majority_claim(eq: EqStructure, answer: Answer, n: int) -> CheckResult:
-    """Accept iff the transcript proves the claimed majority outright."""
+    """Accept iff the transcript proves the claimed majority outright; n must be eq's."""
+    if n != eq.n:
+        raise ValueError(f"n is {n}, but eq was built for n = {eq.n}")
     if not answer.is_majority:
         return CheckResult(False, "not a majority answer")
     v = answer.witness
@@ -223,8 +232,10 @@ def check_no_majority_claim(eq: EqStructure, cert: Certificate, n: int) -> Check
     so it holds at most one ball of any color.  The pairs are checked as
     one array against a sorted copy of the conflict keys, and the triangle
     by one lookup per edge; a rejection names the failure a ball-by-ball
-    walk of the certificate meets first.
+    walk of the certificate meets first.  n must be eq's (ValueError).
     """
+    if n != eq.n:  # the keys' multiplier is n + 1
+        raise ValueError(f"n is {n}, but eq was built for n = {eq.n}")
     half = n // 2
     units = cert.units()
     tri = np.array([b if 1 <= b <= n else 0 for b in cert.triangle or ()], dtype=np.int64)

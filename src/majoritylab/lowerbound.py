@@ -65,8 +65,8 @@ _CHECKPOINTS = 41
 
 
 def _checkpoint_grid(n: int) -> list[int]:
-    ks = sorted({int(round(x)) for x in np.linspace(0, n - 1, _CHECKPOINTS)})
-    return [k for k in ks if 0 <= k <= n - 1]
+    """The steps 0..n - 1 at which a trajectory is recorded; 0 is always one."""
+    return sorted({int(round(x)) for x in np.linspace(0, n - 1, _CHECKPOINTS)})
 
 
 def simulate_balance(
@@ -127,8 +127,7 @@ def simulate_balance(
         nk_mean[k] = float(np.count_nonzero(head, axis=0).mean())
         mk_mean[k] = float((head.max(axis=0) ** 2).mean())
 
-    if 0 in want:
-        record(0, n)
+    record(0, n)
 
     for t in range(n - 1):
         live = n - t
@@ -176,7 +175,6 @@ def simulate_balance(
             record(k, live - 1)
 
     terminal = (d[:trials] * d[:trials]).astype(np.float64)
-    grid = [k for k in grid if k in nk_mean]
     return BalanceStats(
         n=n,
         strategy=strategy,

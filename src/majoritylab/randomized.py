@@ -673,7 +673,6 @@ def heavy(
     oracle: CountingOracle,
     candidate: int,
     balls: Sequence[int] | None = None,
-    params: Params | None = None,
     rng: RandomStream | None = None,
 ) -> tuple[Answer, Certificate | None, RunStats]:
     """Census the given candidate unconditionally at the top level.
@@ -694,4 +693,4 @@ def heavy(
         nothing = np.zeros(0, dtype=bool)
         return _heavy(run, lv, order, candidate, order[keep], nothing, nothing)
 
-    return _drive(oracle, balls, params, rng, census)
+    return _drive(oracle, balls, None, rng, census)

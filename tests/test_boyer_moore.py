@@ -16,7 +16,6 @@ from majoritylab import (
     verify_run,
 )
 
-from majoritylab.boyer_moore import _two_pass
 from majoritylab.core import _FIRST_WINDOW, _WALK_LEAD
 from support import all_colorings, assert_run_ok, run_boyer_moore
 
@@ -80,7 +79,7 @@ def test_no_majority_certificate_is_checkable():
 
 
 def test_worst_case_alternation_hits_bound():
-    # Strict alternation keeps the cancel stack busy; stays within 2n - 2.
+    # Strict alternation cancels at every other ball; stays within 2n - 2.
     inst = Instance(tuple(1 if i % 2 else 2 for i in range(20)))
     _, _, comparisons, audit_ok = run_boyer_moore(inst)
     assert comparisons <= 2 * 20 - 2
@@ -88,22 +87,27 @@ def test_worst_case_alternation_hits_bound():
 
 
 def scalar_boyer_moore(oracle, balls):
-    """Both passes one cmp at a time: the order boyer_moore must record."""
-    candidate, counter, stack, cancelled = balls[0], 1, [balls[0]], []
+    """Both passes one cmp at a time: the order boyer_moore must record.
+
+    The k-th canceller is paired with the k-th ball that joined; a lead
+    left at the end keeps the last candidate out of the joins."""
+    candidate, counter, joins, cancels = balls[0], 1, [balls[0]], []
     for b in balls[1:]:
         if counter == 0:
             candidate, counter = b, 1
-            stack.append(b)
+            joins.append(b)
         elif oracle.cmp(candidate, b):
             counter += 1
-            stack.append(b)
+            joins.append(b)
         else:
             counter -= 1
-            cancelled.append((stack.pop(), b))
+            cancels.append(b)
     count = 1 + sum(oracle.cmp(candidate, b) for b in balls if b != candidate)
     if count > len(balls) // 2:
         return Answer.majority(candidate, count), None
-    pairs = np.array(cancelled, dtype=np.int64).reshape(-1, 2)
+    if counter > 0:
+        joins.remove(candidate)
+    pairs = np.array(list(zip(joins, cancels)), dtype=np.int64).reshape(-1, 2)
     return Answer.no_majority(), Certificate(pairs=pairs, candidate=candidate)
 
 
@@ -133,8 +137,8 @@ def test_recorded_transcript_matches_scalar_two_pass_reference(colors, picks):
         "profile:0.48,rest=100",
         "uniform:k=3",
         "uniform:k=n",
-        "binary:p=0.9",  # a deep stack
-        "profile:0.5,0.5",  # an exact tie: no majority with a deep stack
+        "binary:p=0.9",  # a long lead
+        "profile:0.5,0.5",  # an exact tie: no majority after long leads
         "distinct",
     ],
 )
@@ -184,17 +188,6 @@ def test_vote_rejects_bad_balls_before_billing_or_recording(balls, error):
     assert len(oracle.transcript) == 0
 
 
-def test_two_pass_rejects_2_31_balls_before_billing():
-    # The cancelled pairs' keys need fewer than 2**31 balls.  A zero-stride
-    # view gives the length without allocating the balls.
-    balls = np.broadcast_to(np.int64(1), (2**31,))
-    oracle = CountingOracle(Instance((1, 2)), record_transcript=True)
-    with pytest.raises(ValueError, match=r"2\*\*31"):
-        _two_pass(oracle, balls)
-    assert oracle.comparisons == 0
-    assert len(oracle.transcript) == 0
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(colors=st.lists(st.integers(1, 3), min_size=1, max_size=60))
 def test_vote_bills_the_same_recorded_or_not(colors):
@@ -215,8 +208,8 @@ def test_vote_bills_the_same_recorded_or_not(colors):
     data=st.data(),
 )
 def test_two_colour_runs_match_scalar_two_pass_reference(runs, data):
-    # Long runs of one colour build deep stacks of unmatched class balls,
-    # so the cancelled pairs reach far back into pass one.
+    # Long runs of one colour build long segments, so the cancelled pairs
+    # reach far back into pass one.
     inst = Instance([color for color, length in runs for _ in range(length)])
     everyone = list(range(1, inst.n + 1))
     picks = data.draw(st.none() | st.lists(st.sampled_from(everyone), min_size=1, unique=True))

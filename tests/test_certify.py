@@ -373,6 +373,61 @@ def test_build_rejects_n_too_large_for_int64_keys():
         build_eq_structure(3_037_000_499, [])
 
 
+@pytest.mark.parametrize(
+    "transcript",
+    [
+        [(1.7, 2, True), (1, 3, True)],
+        [(1, 2, True), (True, 3, True)],
+        [(1, 2, 2), (1, 3, True)],
+        [(1, 2, 0.5), (1, 3, True)],
+        [(1, 2, True), (1, np.float64(3), True)],
+        [(1, 2, True), (1, 3, "yes")],
+        [(1, 2), (1, 3), (2, 3)],
+    ],
+    ids=["float-ball", "bool-ball", "int-flag", "float-flag", "np-float-ball", "str-flag", "pairs"],
+)
+def test_verify_run_rejects_records_that_are_not_two_balls_and_a_flag(transcript):
+    # Cast to int64, 1.7 read as ball 1, True as ball 1 and a nonzero flag as
+    # equal, so the first two transcripts were accepted for a majority of 3.
+    with pytest.raises(ValueError, match="transcript"):
+        verify_run(3, transcript, Answer.majority(1, 3), None)
+    with pytest.raises(ValueError, match="transcript"):
+        build_eq_structure(3, transcript)
+    # Numpy integers and numpy bools are integers and bools.
+    fine = [(np.int64(1), 2, np.True_), (1, np.uint8(3), True)]
+    assert verify_run(3, fine, Answer.majority(1, 3), None).accepted
+
+
+def test_claim_checks_reject_an_n_other_than_the_structures():
+    # With n = 3 the pair (1, 2) was keyed with the wrong multiplier and
+    # rejected, although the transcript proves it unequal.
+    eq = build_eq_structure(5, [rec(1, 2, False)])
+    cert = Certificate(pairs=[(1, 2)], candidate=3)
+    with pytest.raises(ValueError, match="built for n = 5"):
+        check_no_majority_claim(eq, cert, 3)
+    with pytest.raises(ValueError, match="built for n = 5"):
+        check_majority_claim(eq, Answer.majority(1, 3), 6)
+    # With eq's own n the pair is proven; only the counts fail.
+    assert "bound fails" in check_no_majority_claim(eq, cert, 5).reason
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Answer("bogus"),
+        lambda: Answer("Majority", 1, 3),
+        lambda: Answer("no_majority", 3, 4),
+        lambda: Answer("no_majority", 3),
+        lambda: Answer("no_majority", None, 4),
+    ],
+    ids=["bogus", "capitalised", "no-majority-with-both", "with-witness", "with-multiplicity"],
+)
+def test_answer_rejects_an_unknown_kind_or_a_no_majority_with_a_claim(make):
+    # Read as no-majority claims, these were accepted with a valid certificate.
+    with pytest.raises(ValueError, match="answer|no-majority"):
+        make()
+
+
 def test_no_majority_checks_every_ball_of_a_unit():
     # A four-ball "triangle" whose fourth ball was never compared is not one
     # unit: colors 1 2 3 1 1 fit this transcript and have a majority.

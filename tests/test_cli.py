@@ -29,6 +29,25 @@ def test_run_prints_answer_cost_and_trace(capsys):
     assert lines[3].startswith("branch trace: ")
 
 
+@pytest.mark.parametrize(
+    "algo, line",
+    [
+        ("boyer-moore", "certificate: 49 units candidate=99"),
+        ("rand-majority", "certificate: 48 units candidate=9 triangle"),
+    ],
+)
+def test_run_prints_the_no_majority_certificate(capsys, algo, line):
+    # Three colours, none a majority: 2 * 49 + 1 balls need 49 units, or 48
+    # and a triangle.  Boyer-Moore's candidate is the last ball, the one
+    # that ends pass one with a lead.
+    argv = ("run", "--algo", algo, "--n", "99", "--dist", "uniform:k=3", "--seed", "0")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[1] == "answer: no_majority"
+    assert lines[4] == line
+
+
 def test_run_transcript_dump(capsys):
     code, out, _ = run_cli(
         capsys,

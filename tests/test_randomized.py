@@ -559,12 +559,7 @@ def test_forced_branches_exhaustive_small():
 
             for candidate in range(1, n + 1):
                 oracle = CountingOracle(inst, record_transcript=True)
-                answer, cert, _ = heavy(
-                    oracle,
-                    candidate,
-                    params=Params(cutoff=2),
-                    rng=RandomStream(22, "h", candidate),
-                )
+                answer, cert, _ = heavy(oracle, candidate, rng=RandomStream(22, "h", candidate))
                 assert verify_run(n, oracle.transcript, answer, cert).accepted
                 assert_run_ok(inst, answer, cert, True)
 
@@ -789,7 +784,7 @@ def _majority_run(spec, n, seed):
 
 def _heavy_run(colors, seed=0):
     oracle = CountingOracle(Instance(colors), record_transcript=True)
-    answer, cert, stats = heavy(oracle, 1, params=Params(cutoff=2), rng=RandomStream(seed))
+    answer, cert, stats = heavy(oracle, 1, rng=RandomStream(seed))
     return oracle, answer, cert, stats
 
 
@@ -974,7 +969,7 @@ def test_recording_does_not_change_the_run(spec):
     inst = generate(spec, 3001, RandomStream(40, spec))
     for run in (
         lambda oracle: majority(oracle, params=Params(cutoff=64), rng=RandomStream(41, spec)),
-        lambda oracle: heavy(oracle, 1, params=Params(cutoff=64), rng=RandomStream(42, spec)),
+        lambda oracle: heavy(oracle, 1, rng=RandomStream(42, spec)),
     ):
         bare = CountingOracle(inst)
         recording = CountingOracle(inst, record_transcript=True)
@@ -1133,7 +1128,7 @@ def test_runs_with_scalar_scans_give_the_same_verdicts(colors, seed, pick):
         out = []
         for solve in (
             lambda o: majority(o, params=params, rng=RandomStream(seed, "scan", n)),
-            lambda o: heavy(o, pick % n + 1, params=params, rng=RandomStream(seed, "h", n)),
+            lambda o: heavy(o, pick % n + 1, rng=RandomStream(seed, "h", n)),
         ):
             oracle = CountingOracle(inst, record_transcript=True)
             out.append((solve(oracle), list(oracle.transcript)))
