@@ -24,9 +24,9 @@ class Answer:
 
     kind is "majority" or "no_majority".  A majority answer names a witness
     ball and the exact count of its color in the multiset the algorithm was
-    asked about.  Any other kind, a no-majority answer with a witness or a
-    multiplicity, or a witness or multiplicity that is not an integer
-    raises ValueError.
+    asked about.  Any other kind, a majority answer without a witness or a
+    multiplicity, a no-majority answer with either, or a witness or
+    multiplicity that is not an integer raises ValueError.
     """
 
     kind: str
@@ -36,8 +36,9 @@ class Answer:
     def __post_init__(self) -> None:
         if self.kind not in ("majority", "no_majority"):
             raise ValueError(f"answer kind must be 'majority' or 'no_majority', got {self.kind!r}")
-        bare = self.witness is None and self.multiplicity is None
-        if self.kind == "no_majority" and not bare:
+        if self.kind == "majority" and (self.witness is None or self.multiplicity is None):
+            raise ValueError("a majority answer needs a witness and a multiplicity")
+        if self.kind == "no_majority" and not (self.witness is None and self.multiplicity is None):
             raise ValueError("a no-majority answer has no witness and no multiplicity")
         for name in ("witness", "multiplicity"):
             if getattr(self, name) is not None:

@@ -4,8 +4,10 @@ Pass one, ``CountingOracle.vote``, keeps a candidate and its lead: adopting
 a fresh candidate at a lead of zero costs nothing, every other element
 costs one comparison, and the oracle reports which balls joined the
 candidate.  The oracle steps each segment's start through a counter loop
-and finishes a segment whose lead grows long with array windows, so a
-long lead costs numpy steps, not Python ones.  Pass two recounts the
+over a memoryview of the colours, with no list copy, closes a two-ball
+segment (a fresh candidate and one unequal ball) without that loop, and
+finishes a segment whose lead grows long with array windows, so a long
+lead costs numpy steps, not Python ones.  Pass two recounts the
 surviving candidate against all other balls as one ``cmp_many`` batch.
 Total cost is at most 2n - 2 comparisons, checked on every run.
 

@@ -16,10 +16,11 @@ The billing rule is that the solver never learns a comparison it is not
 billed for.  ``scan_until`` looks colors up in doubling windows and may
 look past its stopping point, but nothing past the stop is billed, recorded
 or returned.  ``vote`` looks up the colors of all its balls at once,
-steps the start of each segment of the pass through a counter loop and
-finishes a segment whose lead grows long with array windows, bills every
-comparison of the pass, one per ball that does not become a fresh
-candidate, and records them as one batch.
+steps the start of each segment of the pass through a counter loop that
+reads them through a memoryview, closes a two-ball segment without that
+loop and finishes a segment whose lead grows long with array windows,
+bills every comparison of the pass, one per ball that does not become a
+fresh candidate, and records them as one batch.
 
 The primitives check balls in one place, ``_ball`` for one ball and
 ``_indices`` for an array or sequence: a value that is not an integer,
@@ -440,12 +441,13 @@ class CountingOracle:
         IndexError, and balls that are not integers or no balls raise
         ValueError, before anything is billed or recorded.
 
-        The pass runs as a counter loop over the gathered colours until a
-        segment's lead reaches _WALK_LEAD; ``_segment_end`` then finds the
-        end of that segment with array windows and the loop resumes after
-        it.  A segment of many colours rarely gets that far and pays for the
-        counter loop alone; a long lead, as on fair coins, costs numpy steps
-        instead of Python ones.
+        The pass runs as a counter loop over a memoryview of the gathered
+        colours until a segment's lead reaches _WALK_LEAD; ``_segment_end``
+        then finds the end of that segment with array windows and the loop
+        restarts on a slice of the view after it.  A fresh candidate whose
+        next ball has another colour closes a two-ball segment without the
+        loop, which is most of the pass on many colours; a long lead, as on
+        fair coins, costs numpy steps instead of Python ones.
         """
         balls, idx = self._indices("vote", balls)
         m = len(balls)
@@ -453,30 +455,42 @@ class CountingOracle:
             raise ValueError("vote: needs at least one ball")
         # In place, as in cmp_many.
         colors = self._ids.take(idx, out=idx, mode="clip")
-        # A counter loop starts every segment at ``pos``.  A segment whose
-        # lead falls to zero after ``up`` joins holds 2 * up + 2 balls.  Once
-        # its lead reaches _WALK_LEAD, _segment_end finishes the segment with
-        # arrays and the list iterator jumps past it.
+        # A counter loop starts every segment at ``pos``; the memoryview
+        # yields the colours as Python ints without a list copy.  A segment
+        # whose lead falls to zero after ``up`` joins holds 2 * up + 2 balls,
+        # so fresh candidates sit at even positions and one whose next ball
+        # differs closes a two-ball segment by itself.
         fresh: list[int] = []  # the positions of the fresh candidates
         pos, walk_lead = 0, _WALK_LEAD
-        values = iter(colors.tolist())
-        for color in values:
-            fresh.append(pos)
-            lead, up = 1, 0
-            for c in values:
-                if c == color:
-                    lead += 1
-                    up += 1
-                    if lead == walk_lead:
-                        # Behind it: the candidate, up joins, up + 1 - lead cancels.
-                        pos = _segment_end(colors, color, pos + 2 * up + 2 - lead, lead)
-                        values.__setstate__(pos)
-                        break
-                else:
-                    lead -= 1
-                    if not lead:
-                        pos += 2 * up + 2
-                        break
+        view = memoryview(colors)
+        values = iter(view)
+        while True:
+            for color in values:
+                fresh.append(pos)
+                # A candidate on the last ball reads its own colour back, and
+                # the loop below then meets no ball.
+                if next(values, color) != color:
+                    pos += 2
+                    continue
+                lead, up = 2, 1
+                for c in values:
+                    if c == color:
+                        lead += 1
+                        up += 1
+                        if lead == walk_lead:
+                            break
+                    else:
+                        lead -= 1
+                        if not lead:
+                            pos += 2 * up + 2
+                            break
+                if lead == walk_lead:
+                    break
+            else:
+                break
+            # Behind it: the candidate, up joins, up + 1 - lead cancels.
+            pos = _segment_end(colors, color, pos + 2 * up + 2 - lead, lead)
+            values = iter(view[pos:])
         fresh.append(m)
         bounds = np.array(fresh)
         starts = bounds[:-1]

@@ -1,5 +1,7 @@
 """The deterministic baseline: exactness, cost bound, certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -138,6 +140,7 @@ def test_recorded_transcript_matches_scalar_two_pass_reference(colors, picks):
         "uniform:k=3",
         "uniform:k=n",
         "binary:p=0.9",  # a long lead
+        "uniform:k=20",  # mostly two-ball segments
         "profile:0.5,0.5",  # an exact tie: no majority after long leads
         "distinct",
     ],
@@ -308,6 +311,76 @@ HALF = (LEAD + WINDOW) // 2
 )
 def test_vote_walk_edges_match_scalar_reference(colors):
     assert_vote_matches_scalar(colors)
+
+
+# Every closed segment holds an even number of balls, so fresh candidates
+# sit at even positions; one whose next ball has another colour closes a
+# two-ball segment without the counter loop.  After a walk the loop restarts
+# on a slice of the colours' view at the walked segment's end.
+@pytest.mark.parametrize(
+    "colors",
+    [
+        [1, 2] * 6,
+        [1, 2, 3, 4, 5, 6, 7, 8],
+        [1, 2] * 6 + [3],
+        [1, 2, 3, 4, 5, 6, 7],
+        [1, 1, 2, 2, 3],
+        [1, 2, 1, 1, 2, 3, 3, 3, 1, 2, 4],
+        from_runs((1, LEAD), (2, LEAD)) + [3, 4] * 10,
+        from_runs((1, LEAD), (2, LEAD)) + [3, 4] * 10 + [5],
+        from_runs((1, LEAD + 3), (2, LEAD + 3)) + [1, 2, 3, 1] * 5 + from_runs((2, LEAD)),
+        [3, 4] * 10 + from_runs((1, LEAD + 5)),
+        [3, 4] * 10 + from_runs((1, LEAD + 5), (2, 3)),
+        [1, 2, 3, 4] + from_runs((1, LEAD - 1), (3, 1)),
+        [5],
+        [5, 6],
+        [5, 5],
+        [5, 6, 7],
+        [5, 5, 6],
+        [5, 6, 6],
+        [5, 5, 5],
+    ],
+    ids=[
+        "two-ball-segments-to-the-last-ball-even",
+        "two-ball-segments-many-colours-even",
+        "two-ball-segments-to-the-last-ball-odd",
+        "two-ball-segments-many-colours-odd",
+        "candidate-is-the-last-ball",
+        "candidate-is-the-last-ball-after-mixed-segments",
+        "walk-ends-just-before-two-ball-segments",
+        "walk-ends-just-before-two-ball-segments-odd",
+        "walk-then-two-ball-segments-then-another-walk",
+        "walk-open-at-the-end-after-two-ball-segments",
+        "walk-open-at-the-end-after-two-ball-segments-with-cancels",
+        "lead-one-short-open-at-the-end-after-two-ball-segments",
+        "m=1",
+        "m=2-unequal",
+        "m=2-equal",
+        "m=3-distinct",
+        "m=3-pair-then-candidate",
+        "m=3-two-ball-then-candidate",
+        "m=3-equal",
+    ],
+)
+def test_vote_two_ball_segments_and_restarts_match_scalar_reference(colors):
+    assert_vote_matches_scalar(colors)
+
+
+def test_vote_reads_the_colours_without_a_list_copy():
+    # Gathered colours (8 B/ball), joined flags (1 B/ball) and the owners'
+    # colours that joined compares against (8 B/ball) fit under 20 B/ball;
+    # a list of the colours would add 8 B/ball of pointers.
+    n = 2**16
+    inst = generate("binary:p=0.5", n, RandomStream(16, "vote-memory"))
+    balls = np.arange(1, n + 1)
+    oracle = CountingOracle(inst)
+    tracemalloc.start()
+    try:
+        oracle.vote(balls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n, f"{peak / n:.1f} B/ball"
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32])

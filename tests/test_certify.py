@@ -419,11 +419,22 @@ def test_claim_checks_reject_an_n_other_than_the_structures():
         lambda: Answer("no_majority", 3, 4),
         lambda: Answer("no_majority", 3),
         lambda: Answer("no_majority", None, 4),
+        lambda: Answer("majority"),
+        lambda: Answer("majority", 1),
     ],
-    ids=["bogus", "capitalised", "no-majority-with-both", "with-witness", "with-multiplicity"],
+    ids=[
+        "bogus",
+        "capitalised",
+        "no-majority-with-both",
+        "with-witness",
+        "with-multiplicity",
+        "majority-bare",
+        "majority-without-multiplicity",
+    ],
 )
 def test_answer_rejects_an_unknown_kind_or_a_no_majority_with_a_claim(make):
-    # Read as no-majority claims, these were accepted with a valid certificate.
+    # A no-majority answer claims nothing; a majority answer claims both a
+    # witness and a multiplicity.
     with pytest.raises(ValueError, match="answer|no-majority"):
         make()
 
